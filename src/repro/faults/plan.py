@@ -106,9 +106,8 @@ class FaultSpec:
     seconds: float = 0.0
     #: Amplitude scale factor for drift injection.
     factor: float = 1.0
-    #: Legacy single-file coordination: firing requires exclusively
-    #: creating this exact file (the pre-FaultPlan ``REPRO_SERVICE_CRASH_ONCE``
-    #: marker semantics).  Overrides ``state_dir`` coordination.
+    #: Single-file coordination: firing requires exclusively creating
+    #: this exact file.  Overrides ``state_dir`` coordination.
     marker: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -301,7 +300,7 @@ class FaultPlan:
 
     @classmethod
     def crash_once(cls, marker: str) -> "FaultPlan":
-        """The legacy ``REPRO_SERVICE_CRASH_ONCE`` behaviour as a plan.
+        """One hard worker crash as a plan.
 
         The first worker to pick up a task after spawn dies hard, exactly
         once across the whole pool, coordinated through ``marker``.

@@ -21,21 +21,14 @@ actually observed — the ROADMAP item "feed back observed ``peak_rho_nodes``
 per circuit family from the store so dispatch learns that GHZ-class rho
 stays small and exact keeps winning far past the dense boundary".
 
-Durability follows the journal's rules exactly:
-
-* appends are flushed and ``fsync``'d before returning (configurable
-  interval), shed during a degraded-mode cooldown after a failed write
-  (``ledger.write.errors`` / ``ledger.degraded.skipped``);
-* replay distrusts a **torn tail** — the final line is skipped whenever the
-  file does not end in a newline, even if it happens to parse
-  (``ledger.replay.torn_skipped``); undecodable interior lines are skipped
-  and counted (``ledger.replay.bad_skipped``), never fatal;
-* rotation is atomic (tmp + fsync + ``os.replace``) and *compacts history
-  instead of discarding it*: raw ``run`` records are folded into one
-  mergeable per-fingerprint ``aggregate`` record (counts plus fixed-bucket
-  histograms, associative exactly like
-  :func:`repro.obs.metrics.merge_snapshots`), keeping a bounded window of
-  recent raw records per family for trend display.
+The ledger is a record schema over :class:`~repro.obs.durable.DurableLog`
+named ``ledger``; its crash, full-disk and rotation behaviour is stated
+once in docs/ROBUSTNESS.md, "The durable-log contract".  Rotation here
+*compacts history instead of discarding it*: raw ``run`` records are
+folded into one mergeable per-fingerprint ``aggregate`` record (counts
+plus fixed-bucket histograms, associative exactly like
+:func:`repro.obs.metrics.merge_snapshots`), keeping a bounded window of
+recent raw records per family for trend display.
 
 Record taxonomy (one JSON object per line, ``"rec"`` discriminates):
 
@@ -50,21 +43,18 @@ Record taxonomy (one JSON object per line, ``"rec"`` discriminates):
 ``aggregate``  rotation product: ``{"rec","fp","agg":{...}}``
 =============  ==========================================================
 
-Fault-injection sites (see :mod:`repro.faults`): ``torn-ledger`` truncates
-the file mid-record after an append and ``enospc-ledger`` fails the append
-with ``ENOSPC``; both match on ``operation=<record type>``.
+Fault-injection sites: ``torn-ledger`` and ``enospc-ledger`` (see
+:mod:`repro.obs.durable`), matched on ``operation=<record type>``.
 """
 
 from __future__ import annotations
 
-import errno
 import hashlib
 import json
 import os
-import threading
-import time
-from typing import Dict, IO, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+from .durable import DurableLog
 from .metrics import MetricsRegistry, NODE_BUCKETS, _remap_counts
 
 __all__ = [
@@ -84,12 +74,9 @@ LEDGER_SCHEMA = "repro.ledger/v1"
 #: Default rotation threshold: compact once the file outgrows this.
 DEFAULT_MAX_BYTES = 4 * 1024 * 1024
 
-#: Seconds the ledger sheds writes after a failed append (ENOSPC etc.).
-DEFAULT_DEGRADED_COOLDOWN = 5.0
-
 #: Raw run/fallback records kept per family through a rotation (older ones
 #: survive only inside the family's aggregate record).
-DEFAULT_RECENT_RECORDS = 8
+RECENT_RECORDS = 8
 
 #: Throughput bucket upper bounds in trajectories/second (powers of two
 #: spanning sub-1/s exact passes to ~10^7/s effective stratified rates; an
@@ -421,8 +408,7 @@ class LedgerState:
     would double count).
     """
 
-    def __init__(self, recent_limit: int = DEFAULT_RECENT_RECORDS) -> None:
-        self.recent_limit = recent_limit
+    def __init__(self) -> None:
         self.aggregates: Dict[str, FamilyAggregate] = {}
         self.recent: Dict[str, List[Dict[str, object]]] = {}
         self.order: List[str] = []
@@ -459,71 +445,18 @@ class LedgerState:
                 family.observe_fallback(record)
         window = self.recent.setdefault(fingerprint, [])
         window.append(dict(record))
-        if len(window) > self.recent_limit:
-            del window[: len(window) - self.recent_limit]
+        if len(window) > RECENT_RECORDS:
+            del window[: len(window) - RECENT_RECORDS]
 
     def total_runs(self) -> int:
         return sum(a.runs for a in self.aggregates.values())
 
 
-def _fold_lines(
-    raw: bytes,
-    metrics: Optional[MetricsRegistry] = None,
-    recent_limit: int = DEFAULT_RECENT_RECORDS,
-) -> LedgerState:
-    """Fold ledger bytes into replayed state, skipping torn records.
-
-    Mirrors the journal's replay contract: the final line is distrusted
-    whenever the file does not end in a newline — even structurally valid
-    JSON can be a truncation that happens to parse — and undecodable
-    interior lines are skipped and counted, never fatal.
-    """
-    state = LedgerState(recent_limit=recent_limit)
-    if not raw:
-        return state
-    lines = raw.split(b"\n")
-    trailing_complete = raw.endswith(b"\n")
-    if trailing_complete:
-        lines = lines[:-1]  # the split artifact after the final newline
-    for position, line in enumerate(lines):
-        if not line.strip():
-            continue
-        last = position == len(lines) - 1
-        try:
-            record = json.loads(line.decode("utf-8"))
-            if not isinstance(record, dict):
-                raise ValueError("record is not a JSON object")
-        except (ValueError, UnicodeDecodeError):
-            if metrics is not None:
-                name = (
-                    "ledger.replay.torn_skipped"
-                    if last and not trailing_complete
-                    else "ledger.replay.bad_skipped"
-                )
-                metrics.counter(name).inc()
-            continue
-        if last and not trailing_complete:
-            if metrics is not None:
-                metrics.counter("ledger.replay.torn_skipped").inc()
-            continue
-        if metrics is not None:
-            metrics.counter("ledger.replay.records").inc()
-        state.apply(record)
-    return state
-
-
 def replay_ledger(
-    path: str,
-    metrics: Optional[MetricsRegistry] = None,
-    recent_limit: int = DEFAULT_RECENT_RECORDS,
+    path: str, metrics: Optional[MetricsRegistry] = None
 ) -> LedgerState:
     """Replay a ledger file read-only; missing files replay to empty state."""
-    try:
-        with open(path, "rb") as handle:
-            raw = handle.read()
-    except OSError:
-        return LedgerState(recent_limit=recent_limit)
-    return _fold_lines(raw, metrics, recent_limit)
+    return RunLedger.replay(path, metrics)
 
 
 # ---------------------------------------------------------------------------
@@ -531,8 +464,8 @@ def replay_ledger(
 # ---------------------------------------------------------------------------
 
 
-class RunLedger:
-    """Append-side of the run ledger: fsync'd writes, atomic compaction.
+class RunLedger(DurableLog):
+    """Append side of the run ledger.
 
     Opening a ledger replays whatever previous processes left behind, so
     :meth:`aggregates` immediately answers "what does history say about
@@ -541,45 +474,17 @@ class RunLedger:
     while no observation is ever lost.
     """
 
+    NAME = "ledger"
+    SCHEMA = LEDGER_SCHEMA
+    State = LedgerState
+
     def __init__(
         self,
         path: str,
-        fsync_interval: float = 0.0,
         max_bytes: int = DEFAULT_MAX_BYTES,
-        degraded_cooldown: float = DEFAULT_DEGRADED_COOLDOWN,
         metrics: Optional[MetricsRegistry] = None,
-        recent_records: int = DEFAULT_RECENT_RECORDS,
     ) -> None:
-        self.path = path
-        self.fsync_interval = fsync_interval
-        self.max_bytes = max_bytes
-        self.degraded_cooldown = degraded_cooldown
-        self.recent_records = recent_records
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        for name in (
-            "ledger.records.written",
-            "ledger.write.errors",
-            "ledger.degraded.skipped",
-            "ledger.rotations",
-            "ledger.replay.records",
-            "ledger.replay.torn_skipped",
-            "ledger.replay.bad_skipped",
-        ):
-            self.metrics.counter(name)
-        self._lock = threading.RLock()
-        self._handle: Optional[IO[bytes]] = None
-        self._last_fsync = 0.0
-        self._degraded_until = 0.0
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        try:
-            with open(path, "rb") as handle:
-                raw = handle.read()
-        except OSError:
-            raw = b""
-        self._state = _fold_lines(raw, self.metrics, recent_records)
-        # Rotate on open: compacts raw history into aggregates and leaves a
-        # clean, fully newline-terminated file to append to.
-        self._rotate_locked()
+        super().__init__(path, max_bytes, metrics)
 
     # -- record appends ----------------------------------------------------
 
@@ -650,11 +555,6 @@ class RunLedger:
         with self._lock:
             return [dict(r) for r in self._state.recent.get(fingerprint, [])]
 
-    @property
-    def degraded(self) -> bool:
-        """True while appends are being shed after a write failure."""
-        return time.monotonic() < self._degraded_until
-
     def metrics_snapshot(self) -> Dict[str, Dict[str, object]]:
         """Metrics snapshot with live occupancy gauges refreshed."""
         with self._lock:
@@ -665,78 +565,6 @@ class RunLedger:
                 float(self._state.total_runs())
             )
             return self.metrics.snapshot()
-
-    # -- mechanics ---------------------------------------------------------
-
-    def _ensure_open(self) -> IO[bytes]:
-        if self._handle is None:
-            self._handle = open(self.path, "ab")
-        return self._handle
-
-    def _append(self, record: Dict[str, object]) -> None:
-        line = (
-            json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
-        ).encode("utf-8")
-        with self._lock:
-            # The in-memory mirror advances even when the disk write is
-            # shed: this process keeps dispatching on fresh history, only
-            # crash durability for the shed record is lost (and counted).
-            self._state.apply(record)
-            now = time.monotonic()
-            if now < self._degraded_until:
-                self.metrics.counter("ledger.degraded.skipped").inc()
-                return
-            from ..faults.inject import get_injector
-
-            injector = get_injector()
-            try:
-                if injector is not None and injector.fire(
-                    "enospc-ledger",
-                    operation=str(record.get("rec")),
-                    job_key=record.get("job"),
-                ):
-                    raise OSError(errno.ENOSPC, "No space left on device [injected]")
-                handle = self._ensure_open()
-                handle.write(line)
-                handle.flush()
-                if self.fsync_interval <= 0.0 or (
-                    now - self._last_fsync >= self.fsync_interval
-                ):
-                    os.fsync(handle.fileno())
-                    self._last_fsync = now
-            except OSError:
-                self.metrics.counter("ledger.write.errors").inc()
-                self._degraded_until = now + self.degraded_cooldown
-                return
-            self.metrics.counter("ledger.records.written").inc()
-            if injector is not None and injector.fire(
-                "torn-ledger",
-                operation=str(record.get("rec")),
-                job_key=record.get("job"),
-            ):
-                self._tear_tail_locked(len(line))
-                return
-            self._maybe_rotate_for_size_locked()
-
-    def _tear_tail_locked(self, line_length: int) -> None:
-        """Simulate a torn write: cut the freshly appended record short."""
-        try:
-            handle = self._ensure_open()
-            handle.flush()
-            size = os.path.getsize(self.path)
-            with open(self.path, "r+b") as tear:
-                tear.truncate(max(0, size - line_length // 2))
-            handle.close()
-            self._handle = None
-        except OSError:
-            pass
-
-    def _maybe_rotate_for_size_locked(self) -> None:
-        try:
-            if os.path.getsize(self.path) > self.max_bytes:
-                self._rotate_locked()
-        except OSError:
-            pass
 
     def _live_records(self) -> List[Dict[str, object]]:
         """Compacted view: one aggregate per family + its recent raw window.
@@ -760,65 +588,3 @@ class RunLedger:
                 carried["folded"] = True
                 records.append(carried)
         return records
-
-    def _rotate_locked(self) -> None:
-        """Atomically rewrite the ledger as aggregates + recent raw records."""
-        tmp = f"{self.path}.tmp.{os.getpid()}"
-        try:
-            with open(tmp, "wb") as handle:
-                header = json.dumps(
-                    {"rec": "header", "schema": LEDGER_SCHEMA},
-                    sort_keys=True,
-                    separators=(",", ":"),
-                )
-                handle.write((header + "\n").encode("utf-8"))
-                for record in self._live_records():
-                    line = json.dumps(record, sort_keys=True, separators=(",", ":"))
-                    handle.write((line + "\n").encode("utf-8"))
-                handle.flush()
-                os.fsync(handle.fileno())
-            if self._handle is not None:
-                self._handle.close()
-                self._handle = None
-            os.replace(tmp, self.path)
-            self.metrics.counter("ledger.rotations").inc()
-            # Keep the mirror equal to the rotated file's replay: the raw
-            # records written out carry the folded stamp, so the in-memory
-            # copies must carry it too.
-            for window in self._state.recent.values():
-                for record in window:
-                    record["folded"] = True
-        except OSError:
-            self.metrics.counter("ledger.write.errors").inc()
-            self._degraded_until = time.monotonic() + self.degraded_cooldown
-            try:
-                os.remove(tmp)
-            except OSError:
-                pass
-
-    def flush(self) -> None:
-        """Force any buffered bytes to disk (drain path)."""
-        with self._lock:
-            if self._handle is not None:
-                try:
-                    self._handle.flush()
-                    os.fsync(self._handle.fileno())
-                except OSError:
-                    self.metrics.counter("ledger.write.errors").inc()
-
-    def close(self) -> None:
-        with self._lock:
-            if self._handle is not None:
-                try:
-                    self._handle.flush()
-                    os.fsync(self._handle.fileno())
-                except OSError:
-                    pass
-                self._handle.close()
-                self._handle = None
-
-    def __enter__(self) -> "RunLedger":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()

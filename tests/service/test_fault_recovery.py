@@ -279,10 +279,8 @@ class TestSelfProtection:
 
 class TestLegacyCrashOnceAlias:
     def test_marker_env_still_crashes_exactly_once(self, monkeypatch, tmp_path):
-        from repro.service.worker import CRASH_ONCE_ENV
-
         marker = str(tmp_path / "crash-marker")
-        monkeypatch.setenv(CRASH_ONCE_ENV, marker)
+        monkeypatch.setenv(PLAN_ENV, FaultPlan.crash_once(marker).to_json())
         reset_injector_cache()
         spec = ghz_spec()
         with Scheduler(workers=2, chunk_size=8) as scheduler:

@@ -6,6 +6,7 @@ import time
 import pytest
 
 from repro.circuits.library import ghz
+from repro.faults import PLAN_ENV, FaultPlan
 from repro.noise import NoiseModel
 from repro.service import (
     JobCancelledError,
@@ -16,7 +17,6 @@ from repro.service import (
     Scheduler,
 )
 from repro.service.scheduler import _remaining_spans
-from repro.service.worker import CRASH_ONCE_ENV
 from repro.stochastic import BasisProbability, simulate_stochastic
 
 NOISE = NoiseModel.paper_defaults().scaled(10)
@@ -201,7 +201,7 @@ class TestCaching:
 class TestFaultTolerance:
     def test_injected_worker_crash_is_retried(self, tmp_path, monkeypatch):
         marker = str(tmp_path / "crash-marker")
-        monkeypatch.setenv(CRASH_ONCE_ENV, marker)
+        monkeypatch.setenv(PLAN_ENV, FaultPlan.crash_once(marker).to_json())
         spec = ghz_spec(n=8, trajectories=60, seed=3)
         ref = reference(spec)
         name = spec.properties[0].name
