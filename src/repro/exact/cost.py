@@ -36,6 +36,19 @@ Representation sizes come in two flavours:
   dispatch learns.  ``REPRO_MEASURED_COST=off`` (or an empty ledger)
   restores the worst-case decisions bit-identically.
 
+Inside the stochastic side the same evidence picks the **state backend**
+(the dense arm).  An ``auto`` job on a ``backend_kind="dd"`` spec runs on
+the dense state-vector backend when the family's *measured* state-DD size
+says a DD gate costs more than a dense gate::
+
+    DD_SECONDS_PER_NODE * state_nodes > DENSE_SECONDS_PER_GATE
+                                        + DENSE_SECONDS_PER_AMPLITUDE * 2**n
+
+and the dense arm's snapshots fit :data:`DENSE_MEMORY_CAP_BYTES`.  Both
+arms run the same stratified, prefix-shared engine, so the choice moves
+cost, never the estimator.  A cold ledger (no measured state size) or
+``REPRO_MEASURED_COST=off`` keeps every job on the DD backend.
+
 The worst-case ratio reduces to ``exact wins iff 2 * (1 + R) * 2**n < M``
 — with the paper's M = 30 000 budget and full paper noise, exact wins up
 to ~10-11 qubits and loses beyond.  Under the stratified budget the
@@ -49,6 +62,7 @@ right side of the exponential, not perfectly predict diagram sizes.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Sequence, Tuple
@@ -70,10 +84,14 @@ from ..stochastic.strata import (
 )
 
 __all__ = [
+    "DENSE_MEMORY_CAP_BYTES",
+    "DenseArmEvidence",
     "DispatchDecision",
     "MEASURED_COST_ENV",
     "MeasuredCostModel",
     "SizeEvidence",
+    "dense_arm_evidence",
+    "dense_memory_bytes",
     "estimate_costs",
     "exact_unsupported_reason",
     "measured_cost_enabled",
@@ -92,6 +110,21 @@ DEFAULT_MIN_OBSERVATIONS = 1
 #: Safety multiplier on observed peak node counts — diagrams wobble run to
 #: run (noise draws differ), so score with slack before trusting history.
 MEASURED_HEADROOM = 2.0
+
+#: Per-gate cost model of the two stochastic arms, in seconds per applied
+#: gate (error insertion included) during checkpoint replays: a DD gate
+#: costs ``DD_SECONDS_PER_NODE`` per node of the state diagram, a dense gate
+#: ``DENSE_SECONDS_PER_GATE + DENSE_SECONDS_PER_AMPLITUDE * 2**n``.
+#: Measured with ``PYTHONPATH=src python benchmarks/measure_arm_costs.py``
+#: on a 2-vCPU x86-64 Linux box (Python 3.11, NumPy 2.4); see docs/EXACT.md.
+DD_SECONDS_PER_NODE = 3.5e-5
+DENSE_SECONDS_PER_GATE = 7.0e-5
+DENSE_SECONDS_PER_AMPLITUDE = 1.5e-8
+
+#: The dense arm holds its working state, the ideal reference state and one
+#: snapshot per prefix checkpoint, ``2**n`` complex128 amplitudes each; a
+#: job whose snapshots would exceed this stays on the DD backend.
+DENSE_MEMORY_CAP_BYTES = 128 * 2**20
 
 
 def measured_cost_enabled() -> bool:
@@ -175,6 +208,51 @@ class MeasuredCostModel:
         )
 
 
+def dense_memory_bytes(circuit: QuantumCircuit) -> int:
+    """Bytes the dense arm's states need: ``(checkpoints + 2) * 2**n * 16``.
+
+    The checkpoint count follows the prefix plan's default ~sqrt(steps)
+    spacing (:mod:`repro.stochastic.prefix`); the two extra states are the
+    working state and the ideal reference.
+    """
+    steps = sum(
+        1 for operation in circuit if not isinstance(operation, BarrierOperation)
+    )
+    interval = max(1, math.isqrt(max(1, steps)))
+    checkpoints = max(1, -(-steps // interval))
+    return (checkpoints + 2) * 2**circuit.num_qubits * 16
+
+
+@dataclass(frozen=True)
+class DenseArmEvidence:
+    """The per-gate comparison behind one stochastic-arm choice."""
+
+    #: Predicted seconds per gate on each arm.
+    dd_gate_seconds: float
+    dense_gate_seconds: float
+    #: Bytes the dense arm would hold (see :func:`dense_memory_bytes`).
+    dense_bytes: int
+
+    @property
+    def dense_wins(self) -> bool:
+        return (
+            self.dense_bytes <= DENSE_MEMORY_CAP_BYTES
+            and self.dd_gate_seconds > self.dense_gate_seconds
+        )
+
+
+def dense_arm_evidence(circuit: QuantumCircuit, state_nodes: float) -> DenseArmEvidence:
+    """Score a DD gate at ``state_nodes`` nodes against a dense gate."""
+    return DenseArmEvidence(
+        dd_gate_seconds=DD_SECONDS_PER_NODE * state_nodes,
+        dense_gate_seconds=(
+            DENSE_SECONDS_PER_GATE
+            + DENSE_SECONDS_PER_AMPLITUDE * 2**circuit.num_qubits
+        ),
+        dense_bytes=dense_memory_bytes(circuit),
+    )
+
+
 @dataclass(frozen=True)
 class DispatchDecision:
     """Outcome of the cost comparison for one job."""
@@ -206,13 +284,23 @@ class DispatchDecision:
     stochastic_budget: int = 0
     #: Static clean-stratum weight used for the budget, when stratifiable.
     p_clean: Optional[float] = None
+    #: State backend a stochastic run uses: the spec's, or ``"statevector"``
+    #: when measured evidence chose the dense arm.
+    backend: str = "dd"
+    #: The per-gate comparison, when measured evidence let it run.
+    dense_arm: Optional[DenseArmEvidence] = None
+
+    @property
+    def route(self) -> str:
+        """``exact``, or ``stochastic/<backend>``."""
+        return self.method if self.method == "exact" else f"{self.method}/{self.backend}"
 
     def render(self) -> str:
         """One-line human-readable explanation (CLI ``--method auto``)."""
         if self.unsupported_reason is not None:
             return f"dispatch: stochastic (exact unsupported: {self.unsupported_reason})"
         base = (
-            f"dispatch: {self.method} "
+            f"dispatch: {self.route} "
             f"(exact cost {self.exact_cost:.3g} vs stochastic {self.stochastic_cost:.3g}, "
             f"{self.exact_multiplies} superoperator multiplies)"
         )
@@ -231,6 +319,12 @@ class DispatchDecision:
             parts.append(
                 f"state ~{self.stochastic_nodes:.3g} nodes "
                 f"over {self.stochastic_observations} run(s)"
+            )
+        if self.backend == "statevector" and self.dense_arm is not None:
+            parts.append(
+                f"dense arm: DD gate ~{self.dense_arm.dd_gate_seconds:.2g} s "
+                f"at ~{self.stochastic_nodes:.3g} nodes > dense gate "
+                f"~{self.dense_arm.dense_gate_seconds:.2g} s"
             )
         return (
             f"{base} [measured evidence: family {self.fingerprint}, "
@@ -405,7 +499,7 @@ def estimate_costs(
     backend_kind: str = "dd",
     history: Optional[Mapping[str, FamilyAggregate]] = None,
 ) -> DispatchDecision:
-    """Score both methods and pick the cheaper one.
+    """Score both methods and pick the cheaper one, then the stochastic arm.
 
     ``trajectories`` is the job's epsilon/delta contract proxy — callers
     size it through :func:`~repro.stochastic.properties.hoeffding_samples`,
@@ -413,7 +507,9 @@ def estimate_costs(
     (run-ledger family aggregates) upgrades the representation sizes from
     worst-case to measured when the family has recorded observations and
     ``REPRO_MEASURED_COST`` is not off; the decision then cites its
-    evidence in :meth:`DispatchDecision.render`.
+    evidence in :meth:`DispatchDecision.render`.  A measured state-DD size
+    also lets a stochastic decision on the DD backend move to the dense
+    arm (``backend="statevector"``; see the module docstring).
     """
     reason = exact_unsupported_reason(circuit, properties)
     exact_multiplies = count_exact_multiplies(circuit, model)
@@ -430,6 +526,7 @@ def estimate_costs(
     exact_observations = 0
     stochastic_observations = 0
     censored = False
+    dense_arm = None
     if history and measured_cost_enabled():
         cost_model = MeasuredCostModel(history)
         exact_evidence = cost_model.exact_size(fingerprint, num_qubits)
@@ -441,12 +538,18 @@ def estimate_costs(
         censored = exact_evidence.censored
         if "measured" in (exact_evidence.source, stochastic_evidence.source):
             evidence = "measured"
+        if backend_kind == "dd" and stochastic_evidence.source == "measured":
+            dense_arm = dense_arm_evidence(circuit, stochastic_nodes)
     exact_cost = float(exact_multiplies) * exact_nodes
     stochastic_cost = float(budget) * float(num_ops) * stochastic_nodes
     if reason is not None:
         method = "stochastic"
     else:
         method = "exact" if exact_cost < stochastic_cost else "stochastic"
+    backend = backend_kind
+    if reason is None and method == "stochastic" and dense_arm is not None:
+        if dense_arm.dense_wins:
+            backend = "statevector"
     return DispatchDecision(
         method=method,
         exact_cost=exact_cost,
@@ -462,4 +565,6 @@ def estimate_costs(
         censored=censored,
         stochastic_budget=budget,
         p_clean=p_clean,
+        backend=backend,
+        dense_arm=dense_arm,
     )

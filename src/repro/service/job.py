@@ -266,6 +266,9 @@ class JobStatus:
     #: The *resolved* execution method ("stochastic" or "exact") — for
     #: ``method="auto"`` specs this records what the cost model chose.
     method: str = "stochastic"
+    #: State backend of a stochastic run (``"dd"`` or ``"statevector"``),
+    #: when known — ``auto`` dispatch may pick the dense arm.
+    backend: Optional[str] = None
     error: Optional[str] = None
     #: Observability snapshot merged from the chunk results seen so far
     #: (see :mod:`repro.obs`); empty until the first chunk reports.
@@ -284,7 +287,12 @@ class JobStatus:
             f"job {self.key[:16]}… [{self.state.value}]"
             + (" (cache hit)" if self.cached else ""),
             f"  circuit: {self.circuit_name}",
-            f"  method: {self.method}",
+            f"  method: {self.method}"
+            + (
+                f"/{self.backend}"
+                if self.backend is not None and self.method != "exact"
+                else ""
+            ),
         ]
         if self.method != "exact":
             lines.append(

@@ -25,7 +25,8 @@ Record taxonomy (one JSON object per line, ``"rec"`` discriminates):
 ``header``      ``{"rec","schema"}`` — first line after creation/rotation
 ``submit``      ``{"rec","job","spec"}`` — full canonical JobSpec dict
 ``plan``        ``{"rec","job","chunks":[[i,first,count]..],"base":[..],
-                "base_result"?}``
+                "base_result"?,"backend"?}`` — ``backend`` pins the state
+                backend the chunks run on (absent: the spec's)
 ``lease``       ``{"rec","job","chunk","owner","token","deadline"}``
 ``chunk-done``  ``{"rec","job","chunk","first","count","token","result"}``
 ``job-done``    ``{"rec","job","status","error"?}``
@@ -82,6 +83,9 @@ class JournalJob:
     #: dict), so a journal resume folds the *same* base the original run
     #: folded — without it, bit-identity would only hold for fresh jobs.
     base_result: Optional[Dict[str, object]] = None
+    #: State backend the plan pinned (``None``: the spec's backend, as in
+    #: journals written before the dense arm existed).
+    backend: Optional[str] = None
     #: Committed chunk results, by chunk index (payload dicts).
     completed: Dict[int, Dict[str, object]] = field(default_factory=dict)
     #: Highest fencing token ever granted for this job (resume must
@@ -109,6 +113,26 @@ class JournalJob:
             sum(count for _, _, count in self.plan)
             + sum(count for _, count in self.base_spans)
         )
+
+
+def _plan_record(
+    key: str,
+    chunks: List[ChunkPlanEntry],
+    base_spans: List[Span],
+    base_result: Optional[Dict[str, object]],
+    backend: Optional[str],
+) -> Dict[str, object]:
+    record: Dict[str, object] = {
+        "rec": "plan",
+        "job": key,
+        "chunks": [[i, first, count] for i, first, count in chunks],
+        "base": [[first, count] for first, count in base_spans],
+    }
+    if base_result is not None:
+        record["base_result"] = base_result
+    if backend is not None:
+        record["backend"] = backend
+    return record
 
 
 class _ReplayState:
@@ -152,6 +176,8 @@ class _ReplayState:
                 job.base_spans = [(int(f), int(c)) for f, c in base]
             base_result = record.get("base_result")
             job.base_result = base_result if isinstance(base_result, dict) else None
+            backend = record.get("backend")
+            job.backend = backend if isinstance(backend, str) else None
         elif kind == "lease":
             job = self._job(key)
             token = record.get("token")
@@ -221,16 +247,9 @@ class JobJournal(DurableLog):
         chunks: List[ChunkPlanEntry],
         base_spans: List[Span],
         base_result: Optional[Dict[str, object]] = None,
+        backend: Optional[str] = None,
     ) -> None:
-        record: Dict[str, object] = {
-            "rec": "plan",
-            "job": key,
-            "chunks": [[i, first, count] for i, first, count in chunks],
-            "base": [[first, count] for first, count in base_spans],
-        }
-        if base_result is not None:
-            record["base_result"] = base_result
-        self._append(record)
+        self._append(_plan_record(key, chunks, base_spans, base_result, backend))
 
     def lease_granted(
         self, key: str, chunk: int, owner: str, token: int, deadline: float
@@ -292,15 +311,11 @@ class JobJournal(DurableLog):
             if job.spec_dict is not None:
                 records.append({"rec": "submit", "job": job.key, "spec": job.spec_dict})
             if job.plan:
-                plan_record: Dict[str, object] = {
-                    "rec": "plan",
-                    "job": job.key,
-                    "chunks": [[i, f, c] for i, f, c in job.plan],
-                    "base": [[f, c] for f, c in job.base_spans],
-                }
-                if job.base_result is not None:
-                    plan_record["base_result"] = job.base_result
-                records.append(plan_record)
+                records.append(
+                    _plan_record(
+                        job.key, job.plan, job.base_spans, job.base_result, job.backend
+                    )
+                )
             if job.max_token >= 0:
                 # One summary lease record preserves the token horizon.
                 records.append(

@@ -190,6 +190,9 @@ class _Job:
         #: ``method="auto"`` specs this records what the cost model chose,
         #: and an exact run that trips its node ceiling flips it back.
         self.method = "stochastic"
+        #: State backend stochastic chunks run on: the spec's, or the one
+        #: ``auto`` dispatch (or a journal/checkpoint resume) pinned.
+        self.backend = spec.backend_kind
         self.chunks: Dict[int, ChunkTask] = {}
         self.pending: Deque[int] = deque()
         self.in_flight: Set[int] = set()
@@ -230,10 +233,6 @@ class _Job:
         #: explicit methods, cache hits, and checkpoint resumes) — kept so
         #: serve logs and ``repro jobs`` can cite the dispatch evidence.
         self.decision: Optional[DispatchDecision] = None
-        #: Circuit-family fingerprint for run-ledger records.
-        self.fingerprint = circuit_fingerprint(
-            spec.circuit, spec.noise_model, spec.backend_kind
-        )
         self.started_at = time.perf_counter()
         #: Root trace context — deterministic (derived from the job key), so
         #: reruns of the same spec stitch into structurally identical trees.
@@ -251,6 +250,19 @@ class _Job:
         self.timeout_at: Optional[float] = None
         self.done = threading.Event()
         self.chunks_since_checkpoint = 0
+
+    def use_backend(self, backend: str) -> None:
+        self.backend = backend
+        self.aggregate.backend_kind = backend
+
+    @property
+    def fingerprint(self) -> str:
+        """Circuit-family fingerprint for run-ledger records, keyed by the
+        backend that actually runs: dense runs form their own family and
+        never dilute the DD family's peak-node evidence."""
+        return circuit_fingerprint(
+            self.spec.circuit, self.spec.noise_model, self.backend
+        )
 
     @property
     def total_retries(self) -> int:
@@ -405,6 +417,10 @@ class Scheduler:
             # 4^n/2^n bounds (empty/thin history or REPRO_MEASURED_COST=off).
             "dispatch.measured",
             "dispatch.worst_case",
+            # State backend of every stochastic dispatch: the dense arm is
+            # chosen only on measured evidence (repro.exact.cost).
+            "dispatch.backend.dd",
+            "dispatch.backend.statevector",
             # Durable-execution layer: chunk-ownership leases and drain.
             "lease.granted",
             "lease.renewed",
@@ -469,6 +485,7 @@ class Scheduler:
                 job.final = cached
                 job.cached = True
                 job.method = cached.method
+                job.use_backend(cached.backend_kind)
                 job.state = JobState.COMPLETED
                 job.done.set()
             else:
@@ -476,8 +493,9 @@ class Scheduler:
                 checkpoint = self.store.get_partial(key)
                 if checkpoint is not None:
                     # A checkpoint only ever comes from a stochastic run;
-                    # resume it rather than re-deciding the method.
+                    # resume it on its backend rather than re-deciding.
                     spans, partial = checkpoint
+                    job.use_backend(partial.backend_kind)
                     job.base_spans = spans
                     job.base_partial = partial
                     job.aggregate.merge(partial)
@@ -491,7 +509,8 @@ class Scheduler:
                         # The checkpoint already covers every trajectory.
                         self._finalize(job)
                 else:
-                    job.method = self._resolve_method(spec, job)
+                    job.method, backend = self._resolve_method(spec, job)
+                    job.use_backend(backend)
                     self._journal_submit(job)
                     if job.method == "exact":
                         # No chunks, no deadline sharing: the exact run
@@ -501,6 +520,7 @@ class Scheduler:
                         run_exact = True
                     else:
                         self.metrics.counter("dispatch.stochastic").inc()
+                        self.metrics.counter(f"dispatch.backend.{job.backend}").inc()
                         self._plan_chunks(job)
             self._jobs[key] = job
             self._order.append(key)
@@ -516,6 +536,7 @@ class Scheduler:
         base_spans: Optional[List[Span]] = None,
         base_partial: Optional[StochasticResult] = None,
         token_base: int = 0,
+        backend: Optional[str] = None,
     ) -> str:
         """Re-enqueue an interrupted job from its journaled state.
 
@@ -530,6 +551,8 @@ class Scheduler:
         ``token_base`` must exceed every fencing token the previous
         incarnation granted (the journal tracks the horizon), so a zombie
         commit from a pre-crash worker can never be mistaken for current.
+        ``backend`` is the state backend the journal's plan pinned (None:
+        the spec's), so a resume never switches arms mid-job.
         """
         key = spec.job_key()
         with self._lock:
@@ -548,11 +571,13 @@ class Scheduler:
                 job.final = cached
                 job.cached = True
                 job.method = cached.method
+                job.use_backend(cached.backend_kind)
                 job.state = JobState.COMPLETED
                 self._journal_job_done(job, "completed")
                 job.done.set()
             else:
                 job.method = "stochastic"
+                job.use_backend(backend or spec.backend_kind)
                 job.next_token = max(0, token_base)
                 job.base_spans = list(base_spans or [])
                 job.base_partial = base_partial
@@ -565,7 +590,7 @@ class Scheduler:
                         circuit=spec.circuit,
                         noise_model=spec.noise_model,
                         properties=spec.properties,
-                        backend_kind=spec.backend_kind,
+                        backend_kind=job.backend,
                         first_trajectory=first,
                         num_trajectories=count,
                         master_seed=spec.seed,
@@ -670,6 +695,7 @@ class Scheduler:
                 retries=job.total_retries,
                 cached=job.cached,
                 method=job.method,
+                backend=job.backend,
                 error=job.error,
                 metrics=merge_snapshots(source.metrics),
             )
@@ -780,18 +806,22 @@ class Scheduler:
     # Hybrid dispatch (see repro.exact.cost and docs/EXACT.md)
     # ------------------------------------------------------------------
 
-    def _resolve_method(self, spec: JobSpec, job: Optional[_Job] = None) -> str:
-        """Decide how a fresh (uncached, unresumed) job actually runs.
+    def _resolve_method(
+        self, spec: JobSpec, job: Optional[_Job] = None
+    ) -> Tuple[str, str]:
+        """Decide how a fresh (uncached, unresumed) job actually runs:
+        ``(method, state backend)``.
 
         ``"stochastic"`` passes through; ``"exact"`` is honoured or
         rejected (a spec the exact backend cannot express fails the
         submission with :class:`SchedulerError` rather than silently
         sampling); ``"auto"`` asks the cost model — scored against
         run-ledger family history when a ledger is attached — falling back
-        to stochastic for unsupported specs.
+        to stochastic for unsupported specs.  Only ``"auto"`` may move a
+        job off the spec's backend (to the dense arm).
         """
         if spec.method == "stochastic":
-            return "stochastic"
+            return "stochastic", spec.backend_kind
         reason = exact_unsupported_reason(spec.circuit, spec.properties)
         if spec.method == "exact":
             if reason is not None:
@@ -799,10 +829,10 @@ class Scheduler:
                     f"job requests method='exact' but exact simulation is "
                     f"unsupported: {reason}"
                 )
-            return "exact"
+            return "exact", spec.backend_kind
         if reason is not None:
             self.tracer.event("dispatch.auto", choice="stochastic", reason=reason)
-            return "stochastic"
+            return "stochastic", spec.backend_kind
         history = self.ledger.aggregates() if self.ledger is not None else None
         decision = estimate_costs(
             spec.circuit,
@@ -817,13 +847,13 @@ class Scheduler:
         self.metrics.counter(f"dispatch.{decision.evidence}").inc()
         self.tracer.event(
             "dispatch.auto",
-            choice=decision.method,
+            choice=decision.route,
             exact_cost=decision.exact_cost,
             stochastic_cost=decision.stochastic_cost,
             evidence=decision.evidence,
             fingerprint=decision.fingerprint,
         )
-        return decision.method
+        return decision.method, decision.backend
 
     def decision_for(self, key: str) -> Optional[DispatchDecision]:
         """The auto-dispatch verdict recorded for ``key``, if any."""
@@ -905,8 +935,8 @@ class Scheduler:
 
     def _plan_chunks(self, job: _Job) -> None:
         # Chunk indices partition the job's trajectory index space.  Under
-        # stratified sampling (repro.stochastic.strata, default on the DD
-        # backend) each index budgets one *erring-conditioned* trajectory —
+        # stratified sampling (repro.stochastic.strata, default on both
+        # backends) each index budgets one *erring-conditioned* trajectory —
         # the worker's rejection search depends only on the absolute index,
         # so any chunking reproduces the same samples, exactly as with
         # naive index-derived seeds.  Job keys are unaffected either way.
@@ -923,7 +953,7 @@ class Scheduler:
                     circuit=job.spec.circuit,
                     noise_model=job.spec.noise_model,
                     properties=job.spec.properties,
-                    backend_kind=job.spec.backend_kind,
+                    backend_kind=job.backend,
                     first_trajectory=first + offset,
                     num_trajectories=take,
                     master_seed=job.spec.seed,
@@ -955,6 +985,7 @@ class Scheduler:
                 ],
                 list(job.base_spans),
                 None if job.base_partial is None else job.base_partial.to_dict(),
+                backend=job.backend,
             )
 
     def _journal_job_done(
@@ -1486,7 +1517,7 @@ class Scheduler:
         """
         merged = StochasticResult(
             circuit_name=job.spec.circuit.name,
-            backend_kind=job.spec.backend_kind,
+            backend_kind=job.backend,
             requested_trajectories=job.spec.trajectories,
         )
         for prop in job.spec.properties:

@@ -89,7 +89,7 @@ def _dispatch_preview(spec: Optional[JobSpec], history) -> Tuple[str, Optional[s
         )
     except Exception:
         return spec.method, None
-    return f"auto:{decision.method}", decision.render()
+    return f"auto:{decision.route}", decision.render()
 
 
 def list_jobs(store: ResultStore) -> List[dict]:
@@ -130,6 +130,12 @@ def list_jobs(store: ResultStore) -> List[dict]:
                 except (KeyError, TypeError, ValueError):
                     journaled_spec = None
                 method, evidence = _dispatch_preview(journaled_spec, history)
+                if job.plan and journaled_spec is not None:
+                    # Planned chunks resume on the backend the plan pinned,
+                    # whatever the ledger would pick today.
+                    auto = "auto:" if journaled_spec.method == "auto" else ""
+                    backend = job.backend or journaled_spec.backend_kind
+                    method, evidence = f"{auto}stochastic/{backend}", None
                 row["method"] = method
                 if evidence is not None:
                     row["dispatch"] = evidence
@@ -167,7 +173,7 @@ def list_jobs(store: ResultStore) -> List[dict]:
                 "trajectories": partial.requested_trajectories,
                 "completed_trajectories": partial.completed_trajectories,
                 # Checkpoints only ever come from stochastic execution.
-                "method": "stochastic",
+                "method": f"stochastic/{partial.backend_kind}",
             }
         )
     return rows
@@ -214,6 +220,7 @@ def query_status(store: ResultStore, key: str) -> JobStatus:
             estimates=estimates_of(final),
             elapsed_seconds=final.elapsed_seconds,
             method=final.method,
+            backend=final.backend_kind,
             metrics=dict(final.metrics),
         )
     checkpoint = store.get_partial(key)
@@ -227,6 +234,7 @@ def query_status(store: ResultStore, key: str) -> JobStatus:
             completed_trajectories=partial.completed_trajectories,
             estimates=estimates_of(partial),
             elapsed_seconds=partial.elapsed_seconds,
+            backend=partial.backend_kind,
             metrics=dict(partial.metrics),
         )
     if key in store.queued_keys():
@@ -318,6 +326,7 @@ class _Telemetry:
                 "completed": result.completed_trajectories,
                 "elapsed_seconds": result.elapsed_seconds,
                 "method": result.method,
+                "backend": result.backend_kind,
             }
             if decision is not None:
                 # Auto-dispatch evidence trail: what basis the cost model
@@ -561,6 +570,7 @@ def _resume_incomplete(
                 base_spans=journaled.base_spans,
                 base_partial=base_partial,
                 token_base=journaled.max_token + 1,
+                backend=journaled.backend,
             )
         else:
             # Submitted but never planned: an ordinary resubmission (the

@@ -152,14 +152,17 @@ def _corrupt_outcome_fault(
 def worker_main(worker_id: int, task_queue, result_queue) -> None:
     """Worker process entry point: loop on tasks until the None sentinel."""
     injector = get_injector()
-    warm: "OrderedDict[str, tuple]" = OrderedDict()
+    warm: "OrderedDict[tuple, tuple]" = OrderedDict()
     while True:
         task = task_queue.get()
         if task is None:
             break
         crash_mid = _pre_execution_faults(injector, worker_id, task)
         try:
-            entry = warm.get(task.job_key)
+            # Keyed by backend too: a resubmitted job may run on another
+            # arm once the ledger has warmed up.
+            warm_key = (task.job_key, task.backend_kind)
+            entry = warm.get(warm_key)
             if entry is None:
                 # The context carries the job's compiled gate plan and
                 # prefix-sharing plan (plus the ideal-state snapshot), so
@@ -167,12 +170,12 @@ def worker_main(worker_id: int, task_queue, result_queue) -> None:
                 # prefix engine rides the warm cache with no extra plumbing.
                 backend = _make_backend(task.backend_kind, task.circuit.num_qubits)
                 context = _EvaluationContext(task.circuit, task.backend_kind)
-                warm[task.job_key] = (backend, context)
+                warm[warm_key] = (backend, context)
                 while len(warm) > _WARM_CACHE_LIMIT:
                     warm.popitem(last=False)
             else:
                 backend, context = entry
-                warm.move_to_end(task.job_key)
+                warm.move_to_end(warm_key)
             if crash_mid:
                 # Burn part of the chunk so the death is mid-execution,
                 # then die hard without reporting; the partial work is

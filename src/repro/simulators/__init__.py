@@ -1,7 +1,7 @@
 """Simulator backends: DD-based (proposed), state-vector (baseline), and
 the exact density-matrix oracle."""
 
-from .base import ErrorHook, RunResult, StateBackend, execute_circuit
+from .base import ErrorHook, ReplayBackend, RunResult, StateBackend, execute_circuit
 from .ddsim import DDBackend
 from .density_matrix import DensityMatrixSimulator
 from .statevector import StatevectorBackend
@@ -11,6 +11,7 @@ __all__ = [
     "DDBackend",
     "DensityMatrixSimulator",
     "ErrorHook",
+    "ReplayBackend",
     "RunResult",
     "StateBackend",
     "StatevectorBackend",

@@ -25,7 +25,14 @@ from ..circuits.operations import (
     ResetOperation,
 )
 
-__all__ = ["StateBackend", "RunResult", "ErrorHook", "execute_circuit", "execute_plan"]
+__all__ = [
+    "StateBackend",
+    "ReplayBackend",
+    "RunResult",
+    "ErrorHook",
+    "execute_circuit",
+    "execute_plan",
+]
 
 
 class StateBackend(Protocol):
@@ -69,6 +76,53 @@ class StateBackend(Protocol):
 
     def sample_counts(self, shots: int, rng: random.Random) -> Dict[str, int]:
         """Sample measurement outcomes of all qubits without collapsing."""
+
+
+class ReplayBackend(StateBackend, Protocol):
+    """What the stochastic trajectory engine needs beyond :class:`StateBackend`.
+
+    Prefix sharing and stratified sampling (:mod:`repro.stochastic.prefix`,
+    :mod:`repro.stochastic.strata`) only ever touch a backend through these
+    operations, so they run unchanged on the DD and the dense backend.
+    Snapshot handles are opaque: a pinned DD edge, or a dense copy.
+    """
+
+    #: Largest state representation seen this span, in DD nodes (0 when
+    #: the backend has no diagram).
+    peak_nodes: int
+
+    def reset_all(self) -> None:
+        """Reset the state to |0...0>."""
+
+    def load_state(self, handle) -> None:
+        """Make a snapshot the current state (later gates leave it intact)."""
+
+    def apply_step(self, step) -> None:
+        """Apply one gate step of a plan compiled for this backend."""
+
+    def squared_norm(self) -> float:
+        """Squared norm of the current state."""
+
+    def scale_state(self, factor: complex) -> None:
+        """Multiply the state by a scalar (the drift fault and guard tests)."""
+
+    def renormalize(self) -> None:
+        """Rescale the state back to unit norm."""
+
+    def sample_snapshot(self, handle, shots: int, rng: random.Random) -> Dict[str, int]:
+        """:meth:`StateBackend.sample_counts` of a snapshot, without loading it."""
+
+    def handle_from_vector(self, vector: np.ndarray):
+        """A snapshot handle for an explicit dense state vector."""
+
+    def start_span(self) -> None:
+        """Prepare a reused backend for a new span of trajectories."""
+
+    def end_span(self) -> None:
+        """Release what the span no longer needs."""
+
+    def metrics_snapshot(self) -> Dict[str, Dict[str, object]]:
+        """Backend-internal counters (cumulative; callers take deltas)."""
 
 
 #: Called after every executed gate with the backend and the touched qubits;

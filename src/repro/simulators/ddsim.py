@@ -48,7 +48,8 @@ def _pauli_operator_dd(package: DDPackage, pauli: str, num_qubits: int) -> Edge:
 
 
 class DDBackend:
-    """DD-based simulator backend implementing :class:`StateBackend`."""
+    """DD-based simulator backend implementing :class:`StateBackend` and
+    :class:`~repro.simulators.base.ReplayBackend`."""
 
     def __init__(
         self,
@@ -102,6 +103,11 @@ class DDBackend:
         """Apply a pre-resolved operator DD (compiled gate plans, cached
         noise operators) — the hot path with all cache keying hoisted out."""
         self._replace_state(self.package.multiply(gate_dd, self._state))
+
+    def apply_step(self, step) -> None:
+        """Apply one :class:`~repro.simulators.gateplan.PlanStep` compiled
+        against this backend's package (its pinned operator DD)."""
+        self.apply_gate_edge(step.gate_edge)
 
     # ------------------------------------------------------------------
     # Probabilities and measurement
@@ -194,6 +200,14 @@ class DDBackend:
     def sample_counts(self, shots: int, rng: random.Random) -> Dict[str, int]:
         return self.package.sample_counts(self._state, shots, rng)
 
+    def sample_snapshot(self, handle: Edge, shots: int, rng: random.Random) -> Dict[str, int]:
+        """Sample a pinned snapshot without loading it."""
+        return self.package.sample_counts(handle, shots, rng)
+
+    def handle_from_vector(self, vector: np.ndarray) -> Edge:
+        """A pinned snapshot handle for an explicit dense state."""
+        return self.package.inc_ref(self.package.from_state_vector(vector))
+
     # ------------------------------------------------------------------
     # Numerical health (see docs/ROBUSTNESS.md)
     # ------------------------------------------------------------------
@@ -228,6 +242,22 @@ class DDBackend:
         the gate prefix.
         """
         self._replace_state(edge)
+
+    def start_span(self) -> None:
+        """Start a span of trajectories from |0...0> with a fresh peak:
+        a warm backend must not leak the previous job's state width."""
+        self.reset_all()
+        self.reset_peak_nodes()
+
+    def end_span(self) -> None:
+        """Span boundary: force one full sweep regardless of the dead-node
+        watermark, so a span never hands accumulated garbage to its
+        successor (the per-gate calls are paced)."""
+        self.package.garbage_collect(force=True)
+
+    def metrics_snapshot(self) -> Dict[str, Dict[str, object]]:
+        """The package's table counters (see DDPackage.metrics_snapshot)."""
+        return self.package.metrics_snapshot()
 
     def reset_peak_nodes(self) -> None:
         """Restart peak tracking from the current state.

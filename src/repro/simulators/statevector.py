@@ -10,6 +10,13 @@ Gates are applied in-place through NumPy tensor views: the state is held as
 an ``(2,) * n`` array whose axis ``q`` is qubit ``q`` (qubit 0 most
 significant, the paper's convention), controls select sub-views, and the
 2x2 matrix contracts against the target axis.
+
+The backend also implements the replay operations the stochastic engine
+needs (:class:`~repro.simulators.base.ReplayBackend`): snapshots are dense
+copies, so prefix sharing and stratified sampling run on it unchanged, and
+outcome sampling walks the same per-qubit descent as
+:meth:`repro.dd.package.DDPackage.sample_counts`, so both backends draw the
+same histograms from the same rng stream.
 """
 
 from __future__ import annotations
@@ -20,11 +27,77 @@ from typing import Dict, Optional, Sequence
 
 import numpy as np
 
+from ..dd.package import _binomial
+
 __all__ = ["StatevectorBackend"]
+
+#: Probabilities below this count as exact zeros (``probability_of_one``,
+#: sampling branches).  The DD package snaps amplitudes under its
+#: complex-table tolerance (1e-12) to zero, and the noise layer and the
+#: samplers skip rng draws for zero-probability events; rounding residue
+#: of ~1e-33 here must not consume draws the DD backend does not.
+_NEGLIGIBLE = 1e-24
+
+
+def _prefix_masses(amplitudes: np.ndarray, num_qubits: int) -> list:
+    """``masses[k][i]``: probability that qubits ``0..k-1`` read ``i``."""
+    masses = [amplitudes.real**2 + amplitudes.imag**2]
+    for _ in range(num_qubits):
+        masses.append(masses[-1].reshape(-1, 2).sum(axis=1))
+    masses.reverse()
+    return masses
+
+
+def _sample_counts(amplitudes: np.ndarray, num_qubits: int, shots: int, rng) -> Dict[str, int]:
+    """Per-qubit descent mirroring :meth:`DDPackage.sample_counts`.
+
+    One shot draws one uniform per qubit (``sample_basis_state``); more
+    shots split binomially down the tree, 0-branch first
+    (``_sample_multinomial``), so equal states give equal histograms on
+    both backends.
+    """
+    if shots <= 0:
+        return {}
+    masses = _prefix_masses(amplitudes, num_qubits)
+    counts: Dict[str, int] = {}
+    if shots == 1:
+        index = 0
+        for level in masses[1:]:
+            p0, p1 = level[2 * index], level[2 * index + 1]
+            index = 2 * index + (0 if rng.random() * (p0 + p1) < p0 else 1)
+        counts[format(index, f"0{num_qubits}b")] = 1
+        return counts
+
+    def split(depth: int, index: int, shots: int) -> None:
+        while depth < num_qubits:
+            p0, p1 = masses[depth + 1][2 * index], masses[depth + 1][2 * index + 1]
+            p = p0 / (p0 + p1)
+            if p < _NEGLIGIBLE:
+                p = 0.0
+            elif 1.0 - p < _NEGLIGIBLE:
+                p = 1.0
+            taken0 = _binomial(rng, shots, p)
+            depth += 1
+            if taken0 == shots:
+                index = 2 * index
+                continue
+            if taken0:
+                split(depth, 2 * index, taken0)
+            shots -= taken0
+            index = 2 * index + 1
+        key = format(index, f"0{num_qubits}b")
+        counts[key] = counts.get(key, 0) + shots
+
+    split(0, 0, shots)
+    return counts
 
 
 class StatevectorBackend:
-    """Array-based simulator backend implementing :class:`StateBackend`."""
+    """Array-based simulator backend implementing :class:`StateBackend`
+    and :class:`~repro.simulators.base.ReplayBackend`."""
+
+    #: A dense vector has no decision diagram to measure.
+    peak_nodes = 0
 
     def __init__(self, num_qubits: int, initial_state: Optional[np.ndarray] = None) -> None:
         if num_qubits < 1:
@@ -36,13 +109,18 @@ class StatevectorBackend:
             )
         self.num_qubits = num_qubits
         if initial_state is None:
-            state = np.zeros(2**num_qubits, dtype=complex)
-            state[0] = 1.0
-        else:
-            state = np.asarray(initial_state, dtype=complex).reshape(-1)
-            if state.shape[0] != 2**num_qubits:
-                raise ValueError("initial state has wrong dimension")
+            self.reset_all()
+            return
+        state = np.asarray(initial_state, dtype=complex).reshape(-1)
+        if state.shape[0] != 2**num_qubits:
+            raise ValueError("initial state has wrong dimension")
         self._state = state.reshape((2,) * num_qubits)
+
+    def reset_all(self) -> None:
+        """Reset to |0...0>."""
+        state = np.zeros(2**self.num_qubits, dtype=complex)
+        state[0] = 1.0
+        self._state = state.reshape((2,) * self.num_qubits)
 
     # ------------------------------------------------------------------
     # Gate application
@@ -103,11 +181,11 @@ class StatevectorBackend:
     # ------------------------------------------------------------------
 
     def probability_of_one(self, qubit: int) -> float:
-        index = [slice(None)] * self.num_qubits
-        index[qubit] = 1
-        slice_one = self._state[tuple(index)]
-        total = float(np.vdot(self._state, self._state).real)
-        return float(np.vdot(slice_one, slice_one).real) / total
+        # A 3-axis view (before, qubit, after): NumPy walks an n-axis
+        # slice element pair by element pair, ~100x slower at 15 qubits.
+        slice_one = self._state.reshape(2**qubit, 2, -1)[:, 1, :]
+        p_one = float(np.vdot(slice_one, slice_one).real) / self.squared_norm()
+        return 0.0 if p_one < _NEGLIGIBLE else p_one
 
     def measure(self, qubit: int, rng: random.Random) -> int:
         p_one = self.probability_of_one(qubit)
@@ -164,6 +242,14 @@ class StatevectorBackend:
     def snapshot(self) -> np.ndarray:
         return self._state.reshape(-1).copy()
 
+    def load_state(self, handle: np.ndarray) -> None:
+        """Jump to a snapshot.  Copies: gates update the state in place."""
+        self._state = np.array(handle, dtype=complex).reshape((2,) * self.num_qubits)
+
+    def handle_from_vector(self, vector: np.ndarray) -> np.ndarray:
+        """A snapshot handle for an explicit dense state."""
+        return np.asarray(vector, dtype=complex)
+
     def fidelity(self, handle: np.ndarray) -> float:
         overlap = np.vdot(handle, self._state.reshape(-1))
         return float(abs(overlap) ** 2)
@@ -199,14 +285,34 @@ class StatevectorBackend:
         return float(np.vdot(self._state, transformed).real)
 
     def sample_counts(self, shots: int, rng: random.Random) -> Dict[str, int]:
-        probabilities = np.abs(self._state.reshape(-1)) ** 2
-        probabilities = probabilities / probabilities.sum()
-        # Use the provided rng for reproducibility across backends.
-        counts: Dict[str, int] = {}
-        cumulative = np.cumsum(probabilities)
-        for _ in range(shots):
-            index = int(np.searchsorted(cumulative, rng.random(), side="right"))
-            index = min(index, len(probabilities) - 1)
-            key = format(index, f"0{self.num_qubits}b")
-            counts[key] = counts.get(key, 0) + 1
-        return counts
+        return _sample_counts(self._state.reshape(-1), self.num_qubits, shots, rng)
+
+    def sample_snapshot(self, handle: np.ndarray, shots: int, rng: random.Random) -> Dict[str, int]:
+        return _sample_counts(handle, self.num_qubits, shots, rng)
+
+    # ------------------------------------------------------------------
+    # Replay engine hooks (see ReplayBackend)
+    # ------------------------------------------------------------------
+
+    def apply_step(self, step) -> None:
+        """Apply one compiled :class:`~repro.simulators.gateplan.PlanStep`."""
+        self.apply_gate(step.matrix, step.target, step.controls)
+
+    def squared_norm(self) -> float:
+        flat = self._state.reshape(-1)
+        return float(np.vdot(flat, flat).real)
+
+    def scale_state(self, factor: complex) -> None:
+        self._state = self._state * factor
+
+    def renormalize(self) -> None:
+        self._state = self._state / math.sqrt(self.squared_norm())
+
+    def start_span(self) -> None:
+        self.reset_all()
+
+    def end_span(self) -> None:
+        """Nothing to collect: the state is one array."""
+
+    def metrics_snapshot(self) -> Dict[str, Dict[str, object]]:
+        return {}

@@ -19,7 +19,7 @@ Two refinements compose with the loop:
   the observed variance), or ``"best"`` (minimum of both at ``delta/2``
   each, still a valid simultaneous guarantee by the union bound).
 * Under stratified sampling (:mod:`repro.stochastic.strata`, the default
-  on the DD backend) the first batch reveals the closed-form ``p_clean``,
+  on both backends) the first batch reveals the closed-form ``p_clean``,
   and the Theorem-1 ceiling is re-budgeted to the erring stratum:
   ``(1 - p_clean)^2`` times the naive budget carries the same a-priori
   epsilon guarantee, so the hard cap — not just the adaptive stop —

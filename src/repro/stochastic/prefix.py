@@ -1,4 +1,4 @@
-"""Trajectory prefix sharing: serve clean runs from one DD, replay suffixes.
+"""Trajectory prefix sharing: serve clean runs from one state, replay suffixes.
 
 At the paper's noise regime the expected number of error events per
 trajectory is well below one, yet the naive Monte-Carlo loop re-executes
@@ -10,17 +10,20 @@ here), a cheap **rng dry-run** finds each trajectory's first error site
 without touching any state:
 
 * trajectories whose first site lies beyond the circuit end are **clean**:
-  their final state *is* the shared, refcounted ideal-state DD, so
-  properties are evaluated once and reused bit-identically, and only the
+  their final state *is* the shared ideal-state snapshot, so properties
+  are evaluated once and reused bit-identically, and only the
   per-trajectory ``sample_shots`` are drawn with the trajectory's own rng;
-* erring trajectories resume from the nearest refcounted **ideal-prefix
-  checkpoint** (interval auto-tuned to ~sqrt(gate count), overridable via
+* erring trajectories resume from the nearest **ideal-prefix checkpoint**
+  snapshot (interval auto-tuned to ~sqrt(gate count), overridable via
   ``REPRO_PREFIX_CHECKPOINT_INTERVAL``) and replay only the suffix with the
   real error applier — the rng is rewound by re-consuming the prefix draws
   from the trajectory seed, which costs O(prefix error slots), not O(state).
 
-The engine is exactly equivalent to the naive path — same per-trajectory
-rng streams, same hash-consed state edges, same floats — which
+The plan touches its backend only through
+:class:`~repro.simulators.base.ReplayBackend` operations, so it runs on the
+DD backend (snapshots are pinned edges) and on the dense backend (snapshots
+are copies) alike.  The engine is exactly equivalent to the naive path —
+same per-trajectory rng streams, same states, same floats — which
 ``REPRO_PREFIX_SHARING=off`` exposes directly and the equivalence gate in
 tests/stochastic/test_prefix_sharing.py enforces.  Measurements and resets
 are divergence points (their collapse draws are state-dependent), as is any
@@ -123,7 +126,7 @@ class PrefixPlan:
         #: First measure/reset step index — an unconditional divergence
         #: point (collapse draws are state-dependent) — or ``None``.
         self.stop_index: Optional[int] = None
-        #: ``(step_index, pinned state edge)`` ascending; entry 0 is |0...0>.
+        #: ``(step_index, state snapshot)`` ascending; entry 0 is |0...0>.
         self.checkpoints: List[Tuple[int, object]] = []
         self._checkpoint_steps: List[int] = []
         #: ``executed_prefix[i]`` = gates actually applied among steps[:i].
@@ -182,7 +185,7 @@ class PrefixPlan:
     def property_values(self, backend, properties, context) -> Dict[str, float]:
         """Each property's value on the shared ideal state (evaluated once).
 
-        The first call loads the ideal edge into ``backend`` and evaluates
+        The first call loads the ideal state into ``backend`` and evaluates
         the properties in declaration order — the same table-insertion
         order a naive first-clean-trajectory evaluation produces — so every
         later clean trajectory folds in bit-identical floats.
@@ -202,11 +205,12 @@ def compile_prefix_plan(
 ) -> PrefixPlan:
     """One instrumented ideal execution -> a reusable :class:`PrefixPlan`.
 
-    Runs the gate plan noiselessly on ``backend`` (a DD backend sharing the
-    plan's package), recording per-slot error rates and ideal P(1) values,
-    pinning checkpoint states every ``interval`` steps, and pinning the
-    ideal output state.  The backend is left holding the ideal state; the
-    caller resumes trajectories via ``load_state``.
+    Runs the gate plan noiselessly on ``backend`` (a
+    :class:`~repro.simulators.base.ReplayBackend` the plan was compiled
+    for), recording per-slot error rates and ideal P(1) values,
+    snapshotting checkpoint states every ``interval`` steps, and
+    snapshotting the ideal output state.  The backend is left holding the
+    ideal state; the caller resumes trajectories via ``load_state``.
     """
     plan = PrefixPlan(gate_plan, noise_model)
     steps = gate_plan.steps
@@ -226,7 +230,7 @@ def compile_prefix_plan(
             plan.sites.append(None)
             plan.executed_prefix.append(plan.executed_prefix[-1])
             continue
-        backend.apply_gate_edge(step.gate_edge)
+        backend.apply_step(step)
         plan.sites.append(
             build_noise_site(
                 noise_model, step.name, step.qubits, backend.probability_of_one

@@ -140,10 +140,11 @@ class _EvaluationContext:
             )
             self._prefix_model = noise_model
             if self._ideal is None and self._prefix_plan.ideal_final is not None:
-                # The plan's pinned ideal edge *is* the reference state the
-                # IdealFidelity property wants — identical hash-consed edge,
-                # so reusing it is bit-identical to a separate execution.
-                self._ideal = backend.package.inc_ref(self._prefix_plan.ideal_final)
+                # The backend still holds the plan's ideal output state: the
+                # reference state IdealFidelity wants (on the DD backend the
+                # identical hash-consed edge, so reusing it is bit-identical
+                # to a separate execution).
+                self._ideal = backend.snapshot()
         return self._prefix_plan
 
     def strata_plan(self, prefix_plan) -> StrataPlan:
@@ -160,14 +161,13 @@ class _EvaluationContext:
                 raise ValueError(
                     "IdealFidelity is undefined for circuits with measurements"
                 )
-            if self.backend_kind == "dd":
-                reference = DDBackend(self.circuit.num_qubits, package=backend.package)
-                execute_circuit(reference, self.circuit, random.Random(0))
-                self._ideal = reference.snapshot()
-            else:
-                reference = StatevectorBackend(self.circuit.num_qubits)
-                execute_circuit(reference, self.circuit, random.Random(0))
-                self._ideal = reference.snapshot()
+            reference = _make_backend(
+                self.backend_kind,
+                self.circuit.num_qubits,
+                getattr(backend, "package", None),
+            )
+            execute_circuit(reference, self.circuit, random.Random(0))
+            self._ideal = reference.snapshot()
         return self._ideal
 
     def target_handle(self, spec: StateFidelity, backend):
@@ -180,11 +180,7 @@ class _EvaluationContext:
         key = spec.name
         handle = self._targets.get(key)
         if handle is None:
-            vector = np.asarray(spec.target, dtype=complex)
-            if self.backend_kind == "dd":
-                handle = backend.package.inc_ref(backend.package.from_state_vector(vector))
-            else:
-                handle = vector
+            handle = backend.handle_from_vector(np.asarray(spec.target, dtype=complex))
             self._targets[key] = handle
         return handle
 
@@ -252,8 +248,8 @@ def run_trajectory_span(
     property-evaluation histograms, completion/timeout/error counters, and
     — on the DD backend — this span's unique/compute/complex-table deltas).
 
-    On the DD backend every trajectory's state is checked for norm drift
-    *before* any property is evaluated against it: ``on_drift="raise"``
+    Every trajectory's state is checked for norm drift *before* any
+    property is evaluated against it: ``on_drift="raise"``
     (default) raises a typed :class:`~repro.errors.NumericalDriftError`,
     ``"renorm"`` rescales the state back to unit norm and counts a
     ``faults.recovered.renorm`` metric, ``"off"`` disables the guard.
@@ -330,16 +326,12 @@ def _run_span_body(
     for prop in properties:
         result.estimates[prop.name] = PropertyEstimate(prop.name)
 
-    warm = backend is not None
     if backend is None:
         backend = _make_backend(backend_kind, circuit.num_qubits)
-    elif backend_kind == "dd":
+    else:
         # A warm backend starts every span from |0...0> and a fresh peak:
         # the previous job's state width must not leak into this report.
-        backend.reset_all()
-        backend.reset_peak_nodes()
-    else:
-        backend = _make_backend(backend_kind, circuit.num_qubits)
+        backend.start_span()
     if context is None:
         context = _EvaluationContext(circuit, backend_kind)
 
@@ -348,13 +340,13 @@ def _run_span_body(
     property_hist = registry.histogram("property.eval_seconds", TIME_BUCKETS)
     completed_counter = registry.counter("trajectory.completed")
     evaluation_counter = registry.counter("property.evaluations")
-    dd_before = backend.package.metrics_snapshot() if backend_kind == "dd" else None
+    backend_before = backend.metrics_snapshot()
     guard_action, guard_tolerance = _resolve_norm_guard(on_drift, norm_tolerance)
-    injector = get_injector() if backend_kind == "dd" else None
+    injector = get_injector()
     prof = _profile.ACTIVE
 
     # Compile-once work hoisted out of the Monte-Carlo loop: the gate plan
-    # (per-operation matrices / operator DDs) and — on the DD backend, unless
+    # (per-operation matrices / operator DDs) and — unless
     # REPRO_PREFIX_SHARING=off — the prefix-sharing plan (one instrumented
     # ideal execution yielding error sites, checkpoints, the shared ideal
     # state).  Both are cached on the context, so warm workers compile once
@@ -366,7 +358,7 @@ def _run_span_body(
     if not plan_was_cached:
         registry.counter("gateplan.compiled").inc(gate_plan.compiled_gates)
     prefix_plan = None
-    if backend_kind == "dd" and prefix_sharing_enabled():
+    if prefix_sharing_enabled():
         prefix_was_cached = (
             context._prefix_plan is not None and context._prefix_model == noise_model
         )
@@ -383,11 +375,10 @@ def _run_span_body(
     prefix_materialized = registry.counter("prefix.materialized")
 
     # Stratified sampling (see repro.stochastic.strata): when a clean
-    # stratum exists, weight it analytically from the shared ideal DD and
+    # stratum exists, weight it analytically from the shared ideal state and
     # spend every trajectory slot of this span on erring-conditioned runs.
-    # Falls back to the plain prefix-shared loop when inactive (no clean
-    # stratum, negligible erring mass, REPRO_STRATIFIED=off, or the
-    # statevector backend, which has no prefix plan).
+    # Inactive without a prefix plan, without a clean stratum, with
+    # negligible erring mass, or under REPRO_STRATIFIED=off.
     strata_plan = None
     if prefix_plan is not None and stratified_enabled():
         candidate = context.strata_plan(prefix_plan)
@@ -413,18 +404,23 @@ def _run_span_body(
                 estimate.p_clean = strata_plan.p_clean
                 estimate.clean_value = clean_values[prop.name]
 
-    def finish_trajectory(current_backend, trajectory, rng, applier, run_result, drift):
-        """Post-circuit block shared by the naive, replay, and materialise
-        paths — kept as ONE function so the guard/eval/sampling sequence (and
-        therefore the rng stream and float order) cannot diverge between them."""
-        if backend_kind == "dd":
+    def add_counts(into: Dict[str, int], counts: Dict[str, int]) -> None:
+        for outcome, count in counts.items():
+            into[outcome] = into.get(outcome, 0) + count
+
+    def finish_trajectory(trajectory, rng, applier, run_result, drift, clean=False):
+        """Post-circuit block shared by every path — kept as ONE function so
+        the guard/eval/sampling sequence (and therefore the rng stream and
+        float order) cannot diverge between them.  ``clean`` serves a clean
+        trajectory from the shared ideal state without loading it."""
+        if not clean:
             if drift is not None:
-                current_backend.scale_state(drift.factor)
+                backend.scale_state(drift.factor)
             if guard_action != "off":
-                norm_squared = current_backend.squared_norm()
+                norm_squared = backend.squared_norm()
                 if abs(norm_squared - 1.0) > guard_tolerance:
                     if guard_action == "renorm":
-                        current_backend.renormalize()
+                        backend.renormalize()
                         registry.counter("faults.recovered.renorm").inc()
                     else:
                         raise NumericalDriftError(
@@ -439,8 +435,14 @@ def _run_span_body(
             if prof is not None:
                 prof.push("<properties>")
             evaluation_started = time.perf_counter()
+            if clean:
+                values = prefix_plan.property_values(backend, properties, context)
             for prop in properties:
-                result.estimates[prop.name].add(prop.evaluate(current_backend, run_result, context))
+                if clean:
+                    value = values[prop.name]
+                else:
+                    value = prop.evaluate(backend, run_result, context)
+                result.estimates[prop.name].add(value)
                 evaluation_counter.inc()
             property_hist.observe(time.perf_counter() - evaluation_started)
             if prof is not None:
@@ -448,14 +450,44 @@ def _run_span_body(
         if sample_shots > 0:
             if prof is not None:
                 prof.push("<sampling>")
-            for outcome, count in current_backend.sample_counts(sample_shots, rng).items():
-                result.outcome_counts[outcome] = result.outcome_counts.get(outcome, 0) + count
+            if clean:
+                counts = backend.sample_snapshot(prefix_plan.ideal_final, sample_shots, rng)
+            else:
+                counts = backend.sample_counts(sample_shots, rng)
+            add_counts(result.outcome_counts, counts)
             if prof is not None:
                 prof.pop()
         for kind, count in applier.fired.items():
             result.errors_fired[kind] = result.errors_fired.get(kind, 0) + count
             if count:
                 registry.counter(f"errors.fired.{kind}").inc(count)
+
+    def fire_drift(trajectory):
+        return None if injector is None else injector.fire("drift", trajectory=trajectory)
+
+    def replay(trajectory, seed, divergence):
+        """Run one trajectory with the real error applier from the last
+        ideal checkpoint at or before its first error site ``divergence``;
+        without a prefix plan, from |0...0> (the naive loop)."""
+        rng = random.Random(seed)
+        applier = StochasticErrorApplier(noise_model, rng)
+        step = 0
+        if prefix_plan is None:
+            backend.reset_all()
+        else:
+            # Rewind the rng to the checkpoint by re-consuming the prefix
+            # draws, then replay only the suffix.
+            prefix_replays.inc()
+            step, state = prefix_plan.checkpoint_for(divergence)
+            prefix_replayed_gates.inc(len(gate_plan.steps) - step)
+            prefix_plan.consume_prefix(rng, applier.fired, step)
+            backend.load_state(state)
+        run_result = execute_plan(
+            backend, gate_plan, rng, error_hook=applier, start_step=step
+        )
+        if prefix_plan is not None:
+            run_result.applied_gates += prefix_plan.executed_before(step)
+        finish_trajectory(trajectory, rng, applier, run_result, fire_drift(trajectory))
 
     started = time.perf_counter()
     if timeout is not None:
@@ -472,11 +504,13 @@ def _run_span_body(
         trajectory_started = time.perf_counter()
         if prof is not None:
             prof.push("trajectory")
+        # First error site: None for a clean trajectory, 0 without a
+        # prefix plan (the naive loop replays the whole circuit).
+        divergence: Optional[int] = 0
         if strata_plan is not None:
             # Erring stratum: reject clean candidate seeds (rng-only dry
-            # runs) until one diverges, then run the accepted seed through
-            # the standard checkpoint/replay path.  The search depends only
-            # on the stratum index's base seed, so any worker partition
+            # runs) until one diverges.  The search depends only on the
+            # stratum index's base seed, so any worker partition
             # reproduces the same trajectories.
             seed, divergence, attempts = strata_plan.find_erring_seed(seed)
             strata_attempts.inc(attempts)
@@ -485,114 +519,38 @@ def _run_span_body(
                 strata_rejected.inc(attempts - 1)
                 strata_rejected_total += attempts - 1
             strata_erring.inc()
-            prefix_replays.inc()
-            checkpoint_step, checkpoint_state = prefix_plan.checkpoint_for(divergence)
-            prefix_replayed_gates.inc(len(gate_plan.steps) - checkpoint_step)
-            rng = random.Random(seed)
-            applier = StochasticErrorApplier(noise_model, rng)
-            prefix_plan.consume_prefix(rng, applier.fired, checkpoint_step)
-            backend.load_state(checkpoint_state)
-            run_result = execute_plan(
-                backend, gate_plan, rng, error_hook=applier, start_step=checkpoint_step
-            )
-            run_result.applied_gates += prefix_plan.executed_before(checkpoint_step)
-            drift = (
-                injector.fire("drift", trajectory=trajectory)
-                if injector is not None
-                else None
-            )
-            finish_trajectory(backend, trajectory, rng, applier, run_result, drift)
-            if sample_shots > 0:
-                # One matching clean-stratum draw per erring trajectory,
-                # from the shared ideal DD with a decoupled rng, so
-                # outcome_distribution() can recombine both pools.
-                clean_rng = random.Random((seed ^ _CLEAN_SAMPLE_SALT) & (2**63 - 1))
-                counts = backend.package.sample_counts(
-                    prefix_plan.ideal_final, sample_shots, clean_rng
-                )
-                for outcome, count in counts.items():
-                    result.clean_outcome_counts[outcome] = (
-                        result.clean_outcome_counts.get(outcome, 0) + count
-                    )
         elif prefix_plan is not None:
             rng = random.Random(seed)
             applier = StochasticErrorApplier(noise_model, rng)
             divergence = prefix_plan.first_divergence(rng, applier.fired)
-            if divergence is None:
-                # Clean trajectory: its final state IS the shared ideal DD.
-                prefix_hits.inc()
-                drift = (
-                    injector.fire("drift", trajectory=trajectory)
-                    if injector is not None
-                    else None
-                )
-                ideal_drifted = (
-                    abs(prefix_plan.ideal_norm_squared - 1.0) > guard_tolerance
-                )
-                if drift is not None or (guard_action != "off" and ideal_drifted):
-                    # Rare slow path: something (an injected drift fault, a
-                    # numerically drifted ideal state under an active guard)
-                    # makes this trajectory's state differ from the cached
-                    # evaluation — materialise it and run the normal block.
-                    prefix_materialized.inc()
-                    backend.load_state(prefix_plan.ideal_final)
-                    finish_trajectory(
-                        backend, trajectory, rng, applier,
-                        prefix_plan.ideal_run_result, drift,
-                    )
-                else:
-                    if properties:
-                        evaluation_started = time.perf_counter()
-                        values = prefix_plan.property_values(backend, properties, context)
-                        for prop in properties:
-                            result.estimates[prop.name].add(values[prop.name])
-                            evaluation_counter.inc()
-                        property_hist.observe(time.perf_counter() - evaluation_started)
-                    if sample_shots > 0:
-                        counts = backend.package.sample_counts(
-                            prefix_plan.ideal_final, sample_shots, rng
-                        )
-                        for outcome, count in counts.items():
-                            result.outcome_counts[outcome] = (
-                                result.outcome_counts.get(outcome, 0) + count
-                            )
-                    for kind, count in applier.fired.items():
-                        result.errors_fired[kind] = result.errors_fired.get(kind, 0) + count
-                        if count:
-                            registry.counter(f"errors.fired.{kind}").inc(count)
-            else:
-                # Erring trajectory: rewind the rng to the nearest ideal
-                # checkpoint and replay only the suffix with the real applier.
-                prefix_replays.inc()
-                checkpoint_step, checkpoint_state = prefix_plan.checkpoint_for(divergence)
-                prefix_replayed_gates.inc(len(gate_plan.steps) - checkpoint_step)
-                rng = random.Random(seed)
-                applier = StochasticErrorApplier(noise_model, rng)
-                prefix_plan.consume_prefix(rng, applier.fired, checkpoint_step)
-                backend.load_state(checkpoint_state)
-                run_result = execute_plan(
-                    backend, gate_plan, rng, error_hook=applier, start_step=checkpoint_step
-                )
-                run_result.applied_gates += prefix_plan.executed_before(checkpoint_step)
-                drift = (
-                    injector.fire("drift", trajectory=trajectory)
-                    if injector is not None
-                    else None
-                )
-                finish_trajectory(backend, trajectory, rng, applier, run_result, drift)
+        if divergence is not None:
+            replay(trajectory, seed, divergence)
         else:
-            rng = random.Random(seed)
-            applier = StochasticErrorApplier(noise_model, rng)
-            if index > 0:
-                if backend_kind == "dd":
-                    backend.reset_all()
-                else:
-                    backend = _make_backend(backend_kind, circuit.num_qubits)
-            run_result = execute_plan(backend, gate_plan, rng, error_hook=applier)
-            drift = None
-            if injector is not None:
-                drift = injector.fire("drift", trajectory=trajectory)
-            finish_trajectory(backend, trajectory, rng, applier, run_result, drift)
+            # Clean trajectory: its final state IS the shared ideal state.
+            prefix_hits.inc()
+            drift = fire_drift(trajectory)
+            ideal_drifted = abs(prefix_plan.ideal_norm_squared - 1.0) > guard_tolerance
+            if drift is not None or (guard_action != "off" and ideal_drifted):
+                # Rare slow path: something (an injected drift fault, a
+                # numerically drifted ideal state under an active guard)
+                # makes this trajectory's state differ from the cached
+                # evaluation — materialise it and run the normal block.
+                prefix_materialized.inc()
+                backend.load_state(prefix_plan.ideal_final)
+                finish_trajectory(
+                    trajectory, rng, applier, prefix_plan.ideal_run_result, drift
+                )
+            else:
+                finish_trajectory(trajectory, rng, applier, None, None, clean=True)
+        if strata_plan is not None and sample_shots > 0:
+            # One matching clean-stratum draw per erring trajectory, from
+            # the shared ideal state with a decoupled rng, so
+            # outcome_distribution() can recombine both pools.
+            clean_rng = random.Random((seed ^ _CLEAN_SAMPLE_SALT) & (2**63 - 1))
+            add_counts(
+                result.clean_outcome_counts,
+                backend.sample_snapshot(prefix_plan.ideal_final, sample_shots, clean_rng),
+            )
         if prof is not None:
             prof.pop()
         trajectory_hist.observe(time.perf_counter() - trajectory_started)
@@ -607,16 +565,10 @@ def _run_span_body(
             "attempts": strata_attempts_total,
         }
 
-    if backend_kind == "dd":
-        # Span boundary: force one full sweep regardless of the dead-node
-        # watermark so a span never hands accumulated garbage to its
-        # successor (the per-gate calls inside the loop are paced).
-        backend.package.garbage_collect(force=True)
-        result.peak_nodes = backend.peak_nodes
-        dd_delta = delta_snapshots(backend.package.metrics_snapshot(), dd_before)
-        result.metrics = merge_snapshots(registry.snapshot(), dd_delta)
-    else:
-        result.metrics = registry.snapshot()
+    backend.end_span()
+    result.peak_nodes = backend.peak_nodes
+    backend_delta = delta_snapshots(backend.metrics_snapshot(), backend_before)
+    result.metrics = merge_snapshots(registry.snapshot(), backend_delta)
     result.elapsed_seconds = time.perf_counter() - started
     result.cpu_seconds = result.elapsed_seconds
     return result

@@ -300,3 +300,63 @@ class TestMeasuredDispatch:
         assert first.fingerprint == second.fingerprint
         other = estimate_costs(ghz(9), PAPER_NOISE, [], 100)
         assert other.fingerprint != first.fingerprint
+
+
+class TestDenseArm:
+    """Inside the stochastic side, measured DD evidence picks the state backend."""
+
+    def test_measured_dense_family_routes_to_statevector(self):
+        from repro.circuits.library import ising
+
+        history = _seeded_history(ising(6), PAPER_NOISE, state_peak=63)
+        decision = estimate_costs(ising(6), PAPER_NOISE, [], 6, history=history)
+        assert decision.method == "stochastic"
+        assert decision.backend == "statevector"
+        assert decision.route == "stochastic/statevector"
+        assert decision.dense_arm.dd_gate_seconds > decision.dense_arm.dense_gate_seconds
+        text = decision.render()
+        assert "measured evidence" in text and "dense arm" in text
+
+    def test_wide_compact_family_stays_on_dd(self):
+        history = _seeded_history(ghz(18), PAPER_NOISE, state_peak=20)
+        decision = estimate_costs(ghz(18), PAPER_NOISE, [], 1000, history=history)
+        assert decision.method == "stochastic"
+        assert decision.dense_arm is not None
+        assert decision.backend == "dd" and decision.route == "stochastic/dd"
+        assert "dense arm" not in decision.render()
+
+    def test_memory_cap_keeps_dd(self):
+        from repro.exact.cost import DENSE_MEMORY_CAP_BYTES, dense_memory_bytes
+
+        circuit = ghz(22)
+        assert dense_memory_bytes(circuit) > DENSE_MEMORY_CAP_BYTES
+        history = _seeded_history(circuit, PAPER_NOISE, state_peak=10**7)
+        decision = estimate_costs(circuit, PAPER_NOISE, [], 1000, history=history)
+        assert decision.dense_arm.dd_gate_seconds > decision.dense_arm.dense_gate_seconds
+        assert decision.backend == "dd"
+
+    def test_memory_estimate_matches_the_prefix_plan(self):
+        from repro.circuits.library import ising
+        from repro.exact.cost import dense_memory_bytes
+        from repro.simulators.gateplan import compile_plan
+        from repro.simulators.statevector import StatevectorBackend
+        from repro.stochastic.prefix import compile_prefix_plan
+
+        for circuit in (ising(6), ghz(5)):
+            n = circuit.num_qubits
+            plan = compile_prefix_plan(
+                StatevectorBackend(n), compile_plan(circuit), PAPER_NOISE
+            )
+            assert dense_memory_bytes(circuit) == (len(plan.checkpoints) + 2) * 2**n * 16
+
+    @pytest.mark.parametrize("off", [False, True])
+    def test_cold_or_disabled_evidence_keeps_dd(self, monkeypatch, off):
+        from repro.circuits.library import ising
+
+        history = _seeded_history(ising(6), PAPER_NOISE, state_peak=63)
+        if off:
+            monkeypatch.setenv(MEASURED_COST_ENV, "off")
+        decision = estimate_costs(
+            ising(6), PAPER_NOISE, [], 6, history=history if off else None
+        )
+        assert decision.backend == "dd" and decision.dense_arm is None

@@ -79,10 +79,9 @@ class TestReproducibility:
         """DD and statevector see identical RNG streams, so their Monte-Carlo
         estimates agree to floating-point accuracy — a strong cross-check.
 
-        Stratified sampling is pinned off: it only engages on the DD
-        backend (it needs the prefix plan), so the cross-backend check
-        must compare the shared naive estimator.  The stratified-vs-naive
-        agreement has its own statistical gate in test_strata.py.
+        Stratified sampling is pinned off here to check the plain
+        estimator; the stratified cross-backend agreement is gated in
+        test_arm_agreement.py and test_strata.py.
         """
         monkeypatch.setenv("REPRO_STRATIFIED", "off")
         kwargs = dict(

@@ -171,8 +171,8 @@ class TestEstimatorEquivalence:
             ) <= slack, name
 
     def test_agrees_with_statevector_naive(self, monkeypatch):
-        # Cross-backend equivalence: stratified DD vs the dense naive
-        # baseline (statevector has no prefix plan, hence no strata).
+        # Cross-backend equivalence: stratified DD vs the dense baseline,
+        # which runs the same stratified engine.
         monkeypatch.setenv(STRATIFIED_ENV, "on")
         dd = simulate_stochastic(
             ghz(5), backend="dd", noise_model=HOT_NOISE,
@@ -184,7 +184,15 @@ class TestEstimatorEquivalence:
             properties=(BasisProbability("00000"),),
             trajectories=600, seed=3, sample_shots=0,
         )
-        assert not sv.strata  # statevector stays naive
+        # Same strata, same erring seeds: identical accounting, sums equal
+        # up to float rounding.
+        assert {k: v for k, v in sv.strata.items() if k != "p_clean"} == {
+            k: v for k, v in dd.strata.items() if k != "p_clean"
+        }
+        assert sv.strata["p_clean"] == pytest.approx(dd.strata["p_clean"], abs=1e-12)
+        for estimate, other in ((sv.estimates[n], dd.estimates[n]) for n in dd.estimates):
+            assert estimate.count == other.count
+            assert estimate.total == pytest.approx(other.total, abs=1e-9)
         name = "P(|00000>)"
         slack = (
             dd.estimates[name].hoeffding_halfwidth(0.01)
