@@ -453,27 +453,49 @@ def _resolve_cli_method(args, circuit, model, properties) -> str:
     return decision.method
 
 
-def _command_run(args: argparse.Namespace) -> int:
-    circuit = _load_circuit(args.circuit)
-    properties = _properties_from_args(args)
-    model = _noise_from_args(args)
-    method = _resolve_cli_method(args, circuit, model, properties)
-    if method == "exact":
-        from .exact import simulate_exact
+def _run_local(args, circuit, model, properties):
+    """Run a one-shot job (``run`` / ``stats``) in this process.
 
-        result = simulate_exact(circuit, noise_model=model, properties=properties)
-    else:
-        result = simulate_stochastic(
+    Dispatches like the scheduler: an exact run whose rho DD outgrows
+    ``REPRO_EXACT_NODE_CEILING`` falls back to stochastic sampling, which
+    the result records as a ``dispatch.fallback`` counter.  Returns the
+    result and the scheduler trace events of the stochastic run.
+    """
+    from .errors import ResourceLimitError
+    from .exact import simulate_exact
+    from .stochastic import StochasticSimulator
+
+    fell_back = False
+    if _resolve_cli_method(args, circuit, model, properties) == "exact":
+        try:
+            return simulate_exact(circuit, noise_model=model, properties=properties), []
+        except ResourceLimitError as limit:
+            print(f"exact fallback -> stochastic ({limit})", file=sys.stderr)
+            fell_back = True
+    simulator = StochasticSimulator(backend=args.backend, workers=args.workers)
+    try:
+        result = simulator.run(
             circuit,
             noise_model=model,
             properties=properties,
             trajectories=args.trajectories,
-            backend=args.backend,
-            workers=args.workers,
             seed=args.seed,
             sample_shots=args.shots,
             timeout=args.timeout,
         )
+        trace = simulator.trace_events()
+    finally:
+        simulator.close()
+    if fell_back:
+        result.metrics.setdefault("counters", {})["dispatch.fallback"] = 1
+    return result, trace
+
+
+def _command_run(args: argparse.Namespace) -> int:
+    circuit = _load_circuit(args.circuit)
+    result, _ = _run_local(
+        args, circuit, _noise_from_args(args), _properties_from_args(args)
+    )
     print(result.summary())
     return 0
 
@@ -859,33 +881,12 @@ def _command_stats(args: argparse.Namespace) -> int:
     import json as _json
 
     from .obs import derive_rates
-    from .stochastic import StochasticSimulator
 
     circuit = _load_circuit(args.circuit)
-    model = _noise_from_args(args)
-    properties = _properties_from_args(args)
-    method = _resolve_cli_method(args, circuit, model, properties)
-    if method == "exact":
-        from .exact import simulate_exact
-
-        result = simulate_exact(circuit, noise_model=model, properties=properties)
-        trace = None
-    else:
-        simulator = StochasticSimulator(backend=args.backend, workers=args.workers)
-        try:
-            result = simulator.run(
-                circuit,
-                noise_model=model,
-                properties=properties,
-                trajectories=args.trajectories,
-                seed=args.seed,
-                sample_shots=args.shots,
-                timeout=args.timeout,
-            )
-            trace = simulator.trace_events() if args.trace else None
-        finally:
-            simulator.close()
-
+    result, trace = _run_local(
+        args, circuit, _noise_from_args(args), _properties_from_args(args)
+    )
+    method = result.method
     metrics = result.metrics
     # Scheduler health counters appear even when nothing went wrong (and
     # even on serial runs): "0 retries, 0 respawns" is itself the report.
@@ -902,7 +903,9 @@ def _command_stats(args: argparse.Namespace) -> int:
         "dispatch.worst_case",
     ):
         counters.setdefault(name, 0)
-    counters["dispatch." + ("exact" if method == "exact" else "stochastic")] += 1
+    # A one-shot command makes exactly one dispatch, even when a parallel
+    # run's scheduler has already counted it.
+    counters["dispatch." + method] = 1
     if method == "exact":
         counters.setdefault("exact.kraus_applications", 0)
         counters.setdefault("exact.superop_applications", 0)
@@ -921,7 +924,7 @@ def _command_stats(args: argparse.Namespace) -> int:
         "metrics": metrics,
         "rates": derive_rates(metrics),
     }
-    if trace is not None:
+    if args.trace:
         payload["trace"] = trace
 
     fmt = args.format or ("json" if args.json else "text")

@@ -465,7 +465,10 @@ class DDPackage:
             prof.op_end(token, "add")
 
     def _add(self, e1: Edge, e2: Edge) -> Edge:
-        if e1.is_zero:
+        # Test e1's weight, not just the zero edge: ``Edge.weighted`` leaves
+        # a non-terminal edge whose product snapped to the canonical zero,
+        # which is the zero DD too and would be the divisor below.
+        if e1.weight.is_zero():
             return e2
         if e2.is_zero:
             return e1

@@ -55,9 +55,8 @@ __all__ = [
 ]
 
 #: Fault kinds exercised when ``repro chaos`` is run without ``--faults``.
-#: ``drift`` is excluded by default because renormalisation perturbs the
-#: affected trajectory's values (pass-vs-reference equality would need a
-#: looser tolerance); opt in with ``--faults ...,drift``.
+#: ``drift`` is opt-in (``--faults ...,drift``): the norm guard raises on
+#: the drifted trajectory and its chunk is re-executed.
 DEFAULT_KINDS: Tuple[str, ...] = (
     "crash-before",
     "crash-mid-chunk",

@@ -24,12 +24,12 @@ Key behaviours:
   (docs/ROBUSTNESS.md):
 
   - *poison-chunk quarantine* — a chunk whose execution reliably **kills**
-    its worker is quarantined after ``poison_retries`` fatal attempts and
+    its worker is quarantined after ``max_retries`` fatal attempts and
     the job fails fast with a structured
     :class:`~repro.errors.PoisonChunkError` diagnosis instead of
     respawn-retrying forever;
-  - *respawn circuit breaker* — a respawn storm (``breaker_threshold``
-    worker deaths inside ``breaker_window`` seconds) fails the pending
+  - *respawn circuit breaker* — a respawn storm (``_BREAKER_THRESHOLD``
+    worker deaths inside ``_BREAKER_WINDOW`` seconds) fails the pending
     jobs with :class:`~repro.errors.WorkerPoolBrokenError` and resets,
     so a wedged environment produces one clear error, not an unbounded
     fork storm.
@@ -102,6 +102,24 @@ __all__ = [
 #: one trajectory's latency — the grace only bounds a wedged straggler.
 _TIMEOUT_DRAIN_GRACE = 1.0
 
+#: Fork is part of the design, not a preference: every chunk of a job
+#: shares the job's one absolute ``time.monotonic()`` deadline.
+_MP = multiprocessing.get_context("fork")
+
+#: Dispatcher sleep between passes that found no worker outcome to drain.
+_POLL_INTERVAL = 0.02
+
+#: Base and cap (seconds) of the exponential delay before a dead worker's
+#: slot is refilled; the exponent is the number of deaths in the window.
+_RESPAWN_BACKOFF = 0.05
+_RESPAWN_BACKOFF_CAP = 2.0
+
+#: Open the pool circuit breaker — failing all pending jobs with
+#: :class:`~repro.errors.WorkerPoolBrokenError` — when this many worker
+#: deaths land within the window (seconds).
+_BREAKER_THRESHOLD = 12
+_BREAKER_WINDOW = 10.0
+
 
 def _remaining_spans(total: int, done: List[Span]) -> List[Span]:
     """Complement of the completed spans within ``range(total)``."""
@@ -160,11 +178,11 @@ class _WorkerHandle:
         "dispatched_at", "dead", "respawn_due",
     )
 
-    def __init__(self, worker_id: int, ctx) -> None:
+    def __init__(self, worker_id: int) -> None:
         self.worker_id = worker_id
-        self.task_queue = ctx.Queue()
-        self.result_queue = ctx.Queue()
-        self.process = ctx.Process(
+        self.task_queue = _MP.Queue()
+        self.result_queue = _MP.Queue()
+        self.process = _MP.Process(
             target=worker_main,
             args=(worker_id, self.task_queue, self.result_queue),
             daemon=True,
@@ -249,7 +267,6 @@ class _Job:
         #: When the deadline was first observed tripped (drain-grace anchor).
         self.timeout_at: Optional[float] = None
         self.done = threading.Event()
-        self.chunks_since_checkpoint = 0
 
     def use_backend(self, backend: str) -> None:
         self.backend = backend
@@ -286,30 +303,13 @@ class Scheduler:
         (bounded below by 1) so streaming estimates refresh frequently and
         a lost chunk is cheap to retry.
     max_retries:
-        Requeue budget per chunk before the whole job is failed.
-    checkpoint_every:
-        Checkpoint the merged partial to the store after this many chunk
-        completions (1 = after every chunk).
+        Requeue budget per chunk before the whole job is failed; also the
+        number of worker-fatal attempts a single chunk may accumulate
+        before it is quarantined and the job failed with
+        :class:`~repro.errors.PoisonChunkError`.
     chunk_timeout:
         Wall-clock seconds an in-flight chunk may take before its worker
         is presumed wedged, killed, and the chunk retried (None = never).
-    poison_retries:
-        Worker-fatal attempts a single chunk may accumulate before it is
-        quarantined and the job failed with
-        :class:`~repro.errors.PoisonChunkError` (default: ``max_retries``).
-    respawn_backoff / respawn_backoff_cap:
-        Base and cap (seconds) of the exponential delay before a dead
-        worker's slot is refilled; the exponent is the number of worker
-        deaths inside the breaker window.
-    breaker_threshold / breaker_window:
-        Open the pool circuit breaker — failing all pending jobs with
-        :class:`~repro.errors.WorkerPoolBrokenError` — when this many
-        worker deaths land within the window (seconds).
-    exact_node_ceiling:
-        Rho-DD node budget for exact-dispatched jobs; exceeding it
-        mid-flight falls the job back to stochastic sampling.  ``None``
-        defers to the ``REPRO_EXACT_NODE_CEILING`` environment variable
-        (unset means "no ceiling": exact runs to completion).
     journal:
         Optional write-ahead :class:`~repro.service.journal.JobJournal`.
         When present, every submission, chunk plan, lease grant, committed
@@ -338,16 +338,7 @@ class Scheduler:
         store: Optional[ResultStore] = None,
         chunk_size: Optional[int] = None,
         max_retries: int = 2,
-        checkpoint_every: int = 1,
         chunk_timeout: Optional[float] = None,
-        mp_context: str = "fork",
-        poll_interval: float = 0.02,
-        poison_retries: Optional[int] = None,
-        respawn_backoff: float = 0.05,
-        respawn_backoff_cap: float = 2.0,
-        breaker_threshold: int = 12,
-        breaker_window: float = 10.0,
-        exact_node_ceiling: Optional[int] = None,
         journal: Optional[JobJournal] = None,
         ledger: Optional[RunLedger] = None,
         lease_duration: float = 30.0,
@@ -356,25 +347,15 @@ class Scheduler:
             raise ValueError("workers must be >= 1")
         if chunk_size is not None and chunk_size < 1:
             raise ValueError("chunk_size must be >= 1")
-        if breaker_threshold < 1:
-            raise ValueError("breaker_threshold must be >= 1")
         self.workers = workers
         self.store = store if store is not None else ResultStore(directory=None)
         self.chunk_size = chunk_size
         self.max_retries = max_retries
-        self.checkpoint_every = max(1, checkpoint_every)
         self.chunk_timeout = chunk_timeout
-        self.poll_interval = poll_interval
-        self.poison_retries = max_retries if poison_retries is None else poison_retries
-        self.respawn_backoff = respawn_backoff
-        self.respawn_backoff_cap = respawn_backoff_cap
-        self.breaker_threshold = breaker_threshold
-        self.breaker_window = breaker_window
-        self.exact_node_ceiling = (
-            exact_node_ceiling
-            if exact_node_ceiling is not None
-            else default_node_ceiling()
-        )
+        #: Rho-DD node budget for exact-dispatched jobs, from
+        #: ``REPRO_EXACT_NODE_CEILING`` (unset: no ceiling); exceeding it
+        #: mid-flight falls the job back to stochastic sampling.
+        self.exact_node_ceiling = default_node_ceiling()
         self.journal = journal
         self.ledger = ledger
         self.lease_duration = lease_duration
@@ -438,13 +419,12 @@ class Scheduler:
         #: Monotonic stamps of recent worker deaths (breaker/backoff input).
         self._death_stamps: Deque[float] = deque()
 
-        self._ctx = multiprocessing.get_context(mp_context)
         self._lock = threading.RLock()
         self._jobs: Dict[str, _Job] = {}
         self._order: List[str] = []  #: submission order, for FIFO dispatch
         self._closed = False
         self._workers: List[_WorkerHandle] = [
-            _WorkerHandle(i, self._ctx) for i in range(workers)
+            _WorkerHandle(i) for i in range(workers)
         ]
         self._next_worker_id = workers
         self._dispatcher = threading.Thread(
@@ -633,7 +613,7 @@ class Scheduler:
 
         Within ``timeout`` seconds the dispatcher keeps consuming worker
         outcomes (each one journaled and merged as usual) but assigns
-        nothing new.  Whatever is still unfinished afterwards is force-
+        nothing new.  Whatever is still unfinished afterwards is
         checkpointed and left journal-incomplete — exactly the state
         ``serve --resume`` restarts from.  Returns True when every
         in-flight chunk landed inside the deadline.
@@ -648,12 +628,12 @@ class Scheduler:
                 )
             if not busy:
                 break
-            time.sleep(min(0.05, self.poll_interval))
+            time.sleep(_POLL_INTERVAL)
         with self._lock:
             clean = all(h.busy is None or h.dead for h in self._workers)
             for job in self._jobs.values():
                 if not job.finished():
-                    self._checkpoint(job, force=True)
+                    self._checkpoint(job)
             if self.journal is not None:
                 self.journal.flush()
             self.metrics.counter(
@@ -767,7 +747,7 @@ class Scheduler:
             job.pending.clear()
             job.delayed.clear()
             job.state = JobState.CANCELLED
-            self._checkpoint(job, force=True)
+            self._checkpoint(job)
             self._journal_job_done(job, "cancelled")
             job.done.set()
             return True
@@ -781,7 +761,7 @@ class Scheduler:
             for job in self._jobs.values():
                 if not job.finished():
                     job.state = JobState.CANCELLED
-                    self._checkpoint(job, force=True)
+                    self._checkpoint(job)
                     job.done.set()
         if self._dispatcher.is_alive():
             self._dispatcher.join(timeout=2.0)
@@ -1054,7 +1034,7 @@ class Scheduler:
                     self._drain_results(handle) for handle in list(self._workers)
                 )
             if not drained:
-                time.sleep(self.poll_interval)
+                time.sleep(_POLL_INTERVAL)
 
     def _drain_results(self, handle: _WorkerHandle) -> int:
         """Consume every outcome currently readable from one worker."""
@@ -1205,7 +1185,7 @@ class Scheduler:
             )
 
     def _respawn(self, position: int, handle: _WorkerHandle) -> None:
-        replacement = _WorkerHandle(self._next_worker_id, self._ctx)
+        replacement = _WorkerHandle(self._next_worker_id)
         self._next_worker_id += 1
         self._workers[position] = replacement
         self.metrics.counter("scheduler.worker_respawns").inc()
@@ -1220,32 +1200,29 @@ class Scheduler:
         """Track a death for breaker/backoff; returns the respawn delay."""
         now = time.perf_counter()
         self._death_stamps.append(now)
-        horizon = now - self.breaker_window
+        horizon = now - _BREAKER_WINDOW
         while self._death_stamps and self._death_stamps[0] < horizon:
             self._death_stamps.popleft()
         recent = len(self._death_stamps)
-        if recent >= self.breaker_threshold:
+        if recent >= _BREAKER_THRESHOLD:
             self._trip_breaker(recent)
             self._death_stamps.clear()
         if recent <= 1:
             # An isolated death respawns immediately; backoff is storm
             # protection, not a tax on every crash.
             return 0.0
-        return min(
-            self.respawn_backoff_cap,
-            self.respawn_backoff * (2 ** min(recent - 2, 6)),
-        )
+        return min(_RESPAWN_BACKOFF_CAP, _RESPAWN_BACKOFF * (2 ** min(recent - 2, 6)))
 
     def _trip_breaker(self, recent: int) -> None:
         """Respawn storm: fail everything pending with one clear error."""
         message = (
             f"worker pool circuit breaker open: {recent} worker deaths "
-            f"within {self.breaker_window:.1f} s — failing pending jobs "
+            f"within {_BREAKER_WINDOW:.1f} s — failing pending jobs "
             f"(the pool keeps respawning with backoff; resubmit once the "
             f"environment is healthy)"
         )
         self.metrics.counter("scheduler.breaker.trips").inc()
-        self.tracer.event("breaker.open", deaths=recent, window=self.breaker_window)
+        self.tracer.event("breaker.open", deaths=recent, window=_BREAKER_WINDOW)
         for job in self._jobs.values():
             if job.finished():
                 continue
@@ -1254,7 +1231,7 @@ class Scheduler:
             job.error_kind = "breaker"
             job.pending.clear()
             job.delayed.clear()
-            self._checkpoint(job, force=True)
+            self._checkpoint(job)
             self._journal_job_done(job, "failed", job.error)
             job.done.set()
 
@@ -1355,7 +1332,7 @@ class Scheduler:
         if worker_death:
             deaths = job.worker_deaths.get(task.chunk_index, 0) + 1
             job.worker_deaths[task.chunk_index] = deaths
-            if deaths > self.poison_retries:
+            if deaths > self.max_retries:
                 self._quarantine_chunk(job, task, attempts, deaths)
                 return
         if attempts > self.max_retries:
@@ -1460,7 +1437,6 @@ class Scheduler:
             outcome.result.completed_trajectories
         )
         self.metrics.counter("scheduler.chunks_completed").inc()
-        job.chunks_since_checkpoint += 1
         if self.journal is not None:
             # WAL ordering: the commit is journaled before any dependent
             # store write, so a crash at any later instant still replays
@@ -1528,12 +1504,9 @@ class Scheduler:
             merged.merge(job.completed[index])
         return merged
 
-    def _checkpoint(self, job: _Job, force: bool = False) -> None:
-        if not force and job.chunks_since_checkpoint < self.checkpoint_every:
-            return
+    def _checkpoint(self, job: _Job) -> None:
         if job.base_partial is None and not job.completed:
             return  # nothing worth persisting yet
-        job.chunks_since_checkpoint = 0
         snapshot = self._ordered_merge(job)
         snapshot.timed_out = job.aggregate.timed_out
         snapshot.elapsed_seconds = time.perf_counter() - job.started_at

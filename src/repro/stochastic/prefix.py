@@ -14,10 +14,10 @@ without touching any state:
   are evaluated once and reused bit-identically, and only the
   per-trajectory ``sample_shots`` are drawn with the trajectory's own rng;
 * erring trajectories resume from the nearest **ideal-prefix checkpoint**
-  snapshot (interval auto-tuned to ~sqrt(gate count), overridable via
-  ``REPRO_PREFIX_CHECKPOINT_INTERVAL``) and replay only the suffix with the
-  real error applier — the rng is rewound by re-consuming the prefix draws
-  from the trajectory seed, which costs O(prefix error slots), not O(state).
+  snapshot (one every ~sqrt(gate count) steps) and replay only the suffix
+  with the real error applier — the rng is rewound by re-consuming the
+  prefix draws from the trajectory seed, which costs O(prefix error
+  slots), not O(state).
 
 The plan touches its backend only through
 :class:`~repro.simulators.base.ReplayBackend` operations, so it runs on the
@@ -32,7 +32,6 @@ damping slot under the ``"exact"`` Kraus unravelling.
 
 from __future__ import annotations
 
-import logging
 import math
 import os
 from bisect import bisect_right
@@ -48,17 +47,12 @@ __all__ = [
     "compile_prefix_plan",
     "prefix_sharing_enabled",
     "PREFIX_SHARING_ENV",
-    "PREFIX_INTERVAL_ENV",
 ]
 
 #: Escape hatch: set to ``off`` (or ``0``/``false``/``no``) to run the naive
 #: per-trajectory loop.  The environment is the only channel that reaches
 #: forked workers without touching the content-addressed job key.
 PREFIX_SHARING_ENV = "REPRO_PREFIX_SHARING"
-
-#: Optional integer override for the ideal-prefix checkpoint interval
-#: (gate-plan steps between refcounted snapshots); default ~sqrt(steps).
-PREFIX_INTERVAL_ENV = "REPRO_PREFIX_CHECKPOINT_INTERVAL"
 
 
 def prefix_sharing_enabled() -> bool:
@@ -67,44 +61,13 @@ def prefix_sharing_enabled() -> bool:
     return raw not in ("off", "0", "false", "no")
 
 
-_log = logging.getLogger(__name__)
+def checkpoint_interval(step_count: int) -> int:
+    """Gate-plan steps between ideal-prefix checkpoint snapshots.
 
-#: One-shot latch for the invalid-interval warning: a Monte-Carlo job
-#: compiles plans per worker per job, and a misconfigured environment
-#: should not flood the log once per compilation.
-_warned_invalid_interval = False
-
-
-def _resolve_interval(step_count: int) -> Tuple[int, bool]:
-    """(checkpoint interval, whether the env override was invalid).
-
-    A malformed or non-positive ``REPRO_PREFIX_CHECKPOINT_INTERVAL`` falls
-    back to the sqrt default — but no longer silently: the first offender
-    per process logs a warning, and the caller records the rejection under
-    the ``prefix.interval_override_invalid`` counter.
+    sqrt spacing balances snapshot memory (sqrt(G) pinned states) against
+    replay length (expected sqrt(G)/2 re-executed gates per erring run).
     """
-    global _warned_invalid_interval
-    raw = os.environ.get(PREFIX_INTERVAL_ENV, "").strip()
-    invalid = False
-    if raw:
-        try:
-            value = int(raw)
-        except ValueError:
-            value = 0
-        if value >= 1:
-            return value, False
-        invalid = True
-        if not _warned_invalid_interval:
-            _warned_invalid_interval = True
-            _log.warning(
-                "ignoring invalid %s=%r (need an integer >= 1); "
-                "using the ~sqrt(gates) default",
-                PREFIX_INTERVAL_ENV,
-                raw,
-            )
-    # sqrt spacing balances snapshot memory (sqrt(G) pinned states) against
-    # replay length (expected sqrt(G)/2 re-executed gates per erring run).
-    return max(1, math.isqrt(max(1, step_count))), invalid
+    return max(1, math.isqrt(max(1, step_count)))
 
 
 class PrefixPlan:
@@ -116,9 +79,6 @@ class PrefixPlan:
         self.noise_model = noise_model
         self.exact_damping = noise_model.damping_mode != "event"
         self.interval = 1
-        #: True when an invalid REPRO_PREFIX_CHECKPOINT_INTERVAL override
-        #: was rejected while compiling this plan (the runner counts it).
-        self.invalid_interval_override = False
         #: Per gate-plan step: a :class:`NoiseSite` (executed gate), or
         #: ``None`` (conditioned gate that does not fire pre-measurement).
         #: Truncated at ``stop_index`` when the circuit measures/resets.
@@ -214,7 +174,7 @@ def compile_prefix_plan(
     """
     plan = PrefixPlan(gate_plan, noise_model)
     steps = gate_plan.steps
-    plan.interval, plan.invalid_interval_override = _resolve_interval(len(steps))
+    plan.interval = checkpoint_interval(len(steps))
     backend.reset_all()
     classical_bits = [0] * gate_plan.num_clbits
     plan.checkpoints.append((0, backend.snapshot()))

@@ -23,7 +23,6 @@ from __future__ import annotations
 import os
 import random
 import time
-from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -51,7 +50,6 @@ __all__ = [
     "simulate_stochastic",
     "run_trajectory_span",
     "BACKEND_KINDS",
-    "NORM_GUARD_ENV",
 ]
 
 BACKEND_KINDS = ("dd", "statevector")
@@ -65,14 +63,6 @@ _SEED_STRIDE = 0x9E3779B97F4A7C15
 #: constant; any fixed value distinct from the seed strides works).
 _CLEAN_SAMPLE_SALT = 0x94D049BB133111EB
 
-#: Environment override for the numerical guard: ``raise`` (default),
-#: ``renorm`` (rescale and count ``faults.recovered.renorm``), or ``off``;
-#: an optional ``:<tolerance>`` suffix overrides the drift tolerance, e.g.
-#: ``REPRO_NORM_GUARD=renorm:1e-9``.  The environment is the only channel
-#: that reaches forked worker processes without touching the job spec (and
-#: thus the content-addressed job key).
-NORM_GUARD_ENV = "REPRO_NORM_GUARD"
-
 #: Allowed |norm² − 1| before the guard treats the state as drifted.  The
 #: DD package's sum-of-squares normalisation keeps healthy states at 1.0
 #: to within a few ulp, so anything past this is a real defect.
@@ -84,29 +74,15 @@ _NORM_GUARD_ACTIONS = ("raise", "renorm", "off")
 def _resolve_norm_guard(
     on_drift: Optional[str], norm_tolerance: Optional[float]
 ) -> Tuple[str, float]:
-    """Resolve guard (action, tolerance): explicit args beat the env beats
-    defaults."""
-    env_action: Optional[str] = None
-    env_tolerance: Optional[float] = None
-    raw = os.environ.get(NORM_GUARD_ENV, "").strip()
-    if raw:
-        head, _, tail = raw.partition(":")
-        if head in _NORM_GUARD_ACTIONS:
-            env_action = head
-        if tail:
-            try:
-                env_tolerance = float(tail)
-            except ValueError:
-                pass
-    action = on_drift if on_drift is not None else (env_action or "raise")
+    """Resolve guard (action, tolerance): explicit args, else the defaults."""
+    action = "raise" if on_drift is None else on_drift
     if action not in _NORM_GUARD_ACTIONS:
         raise ValueError(
             f"unknown on_drift action {action!r}; choose from {_NORM_GUARD_ACTIONS}"
         )
-    tolerance = norm_tolerance
-    if tolerance is None:
-        tolerance = env_tolerance if env_tolerance is not None else _DEFAULT_NORM_TOLERANCE
-    return action, tolerance
+    if norm_tolerance is None:
+        norm_tolerance = _DEFAULT_NORM_TOLERANCE
+    return action, norm_tolerance
 
 
 class _EvaluationContext:
@@ -193,26 +169,6 @@ def _make_backend(backend_kind: str, num_qubits: int, package=None):
     raise ValueError(f"unknown backend kind {backend_kind!r}; choose from {BACKEND_KINDS}")
 
 
-@dataclass(frozen=True)
-class _ChunkSpec:
-    """Work order shipped to one worker process (fully picklable)."""
-
-    circuit: QuantumCircuit
-    noise_model: NoiseModel
-    properties: Tuple[PropertySpec, ...]
-    backend_kind: str
-    first_trajectory: int
-    num_trajectories: int
-    master_seed: int
-    sample_shots: int
-    #: Relative budget for a *single-chunk* (serial) run; parallel chunks
-    #: instead share one absolute monotonic deadline (see ``run_trajectory_span``).
-    timeout: Optional[float]
-    #: Span context for cross-process trace correlation (never part of any
-    #: job key — purely observational; see :mod:`repro.obs.context`).
-    trace: Optional[TraceContext] = None
-
-
 def run_trajectory_span(
     circuit: QuantumCircuit,
     noise_model: NoiseModel,
@@ -253,8 +209,7 @@ def run_trajectory_span(
     (default) raises a typed :class:`~repro.errors.NumericalDriftError`,
     ``"renorm"`` rescales the state back to unit norm and counts a
     ``faults.recovered.renorm`` metric, ``"off"`` disables the guard.
-    ``on_drift`` / ``norm_tolerance`` default from the ``REPRO_NORM_GUARD``
-    environment variable (see :data:`NORM_GUARD_ENV`).
+    ``norm_tolerance`` is the allowed |norm² − 1| (default 1e-8).
 
     ``trace`` is an optional :class:`~repro.obs.context.TraceContext` naming
     this span inside a job's trace: when given, one ``chunk.execute`` trace
@@ -365,8 +320,6 @@ def _run_span_body(
         prefix_plan = context.prefix_plan(backend, noise_model)
         if not prefix_was_cached:
             registry.counter("prefix.checkpoints").inc(len(prefix_plan.checkpoints))
-            if prefix_plan.invalid_interval_override:
-                registry.counter("prefix.interval_override_invalid").inc()
     if prof is not None:
         prof.pop()
     prefix_hits = registry.counter("prefix.hits")
@@ -574,22 +527,6 @@ def _run_span_body(
     return result
 
 
-def _run_chunk(spec: _ChunkSpec) -> StochasticResult:
-    """Execute one chunk of trajectories (runs inside a worker process)."""
-    return run_trajectory_span(
-        spec.circuit,
-        spec.noise_model,
-        spec.properties,
-        spec.backend_kind,
-        spec.first_trajectory,
-        spec.num_trajectories,
-        spec.master_seed,
-        sample_shots=spec.sample_shots,
-        timeout=spec.timeout,
-        trace=spec.trace,
-    )
-
-
 class StochasticSimulator:
     """Stochastic (Monte-Carlo) noisy-circuit simulator.
 
@@ -697,12 +634,10 @@ class StochasticSimulator:
             # context derived from the run parameters, with the single chunk
             # as its only child (mirroring the scheduler's per-job tree).
             root = job_trace_context(f"{circuit.name}:{seed}:{trajectories}")
-            aggregate = _run_chunk(
-                _ChunkSpec(
-                    circuit, noise_model, properties, self.backend_kind,
-                    0, trajectories, seed, sample_shots, timeout,
-                    trace=root.child("chunk", 0, 0),
-                )
+            aggregate = run_trajectory_span(
+                circuit, noise_model, properties, self.backend_kind,
+                0, trajectories, seed, sample_shots, timeout,
+                trace=root.child("chunk", 0, 0),
             )
             aggregate.trace_events.append(
                 {

@@ -21,6 +21,19 @@ class TestAddition:
         assert package.add(package.zero_edge, edge) is edge
         assert package.add(edge, package.zero_edge) is edge
 
+    def test_snapped_zero_weight_edge_adds_as_zero(self, package, np_rng):
+        # A non-terminal edge whose weight snapped to the canonical zero
+        # (what Edge.weighted leaves for a near-zero product) is the zero
+        # vector: adding it must not divide by its weight.
+        edge = package.from_state_vector(random_state(np_rng, 3))
+        other = package.from_state_vector(random_state(np_rng, 3))
+        snapped = other.weighted(
+            package.complex_table, package.complex_table.lookup(1e-300)
+        )
+        assert not snapped.is_terminal and snapped.weight.is_zero()
+        assert package.add(snapped, edge) is edge
+        assert package.add(edge, snapped) == edge
+
     def test_cancellation_gives_zero_edge(self, package, np_rng):
         vector = random_state(np_rng, 4)
         edge = package.from_state_vector(vector)

@@ -136,14 +136,15 @@ class TestSchedulerRouting:
 
 
 class TestNodeCeilingFallback:
-    def test_fallback_is_bit_identical_to_pure_stochastic(self):
+    def test_fallback_is_bit_identical_to_pure_stochastic(self, monkeypatch):
         """An exact run tripping the ceiling re-runs stochastic, and the
         result matches a never-dispatched-exact job bit for bit."""
         spec = spec_for(n=4, trajectories=60, method="stochastic")
         with Scheduler(workers=2, chunk_size=16) as plain:
             baseline = plain.run(spec, timeout=60)
         forced = spec_for(n=4, trajectories=60, method="exact")
-        with Scheduler(workers=2, chunk_size=16, exact_node_ceiling=2) as tripping:
+        monkeypatch.setenv("REPRO_EXACT_NODE_CEILING", "2")
+        with Scheduler(workers=2, chunk_size=16) as tripping:
             fallen = tripping.run(forced, timeout=60)
             counters = tripping.metrics_snapshot()["counters"]
             assert counters["dispatch.fallback"] == 1

@@ -56,6 +56,41 @@ class TestStatsCommand:
         assert "job.finalize" in out
 
 
+class TestNodeCeilingFallback:
+    """`run` and `stats` fall back to sampling like the scheduler does."""
+
+    def test_run_falls_back_to_stochastic(self, monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_EXACT_NODE_CEILING", "2")
+        assert main(["run", "ghz:4", "--method", "exact", "--fidelity", "-M", "20"]) == 0
+        captured = capsys.readouterr()
+        assert "exact fallback -> stochastic" in captured.err
+        assert "trajectories: 20/20" in captured.out
+
+    def test_stats_reports_the_fallback(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("REPRO_EXACT_NODE_CEILING", "2")
+        target = tmp_path / "stats.json"
+        assert main(
+            ["stats", "ghz:4", "--method", "exact", "--fidelity", "-M", "20",
+             "--json", "-o", str(target)]
+        ) == 0
+        payload = json.loads(target.read_text(encoding="utf-8"))
+        assert payload["method"] == "stochastic"
+        assert payload["completed_trajectories"] == 20
+        counters = payload["metrics"]["counters"]
+        assert counters["dispatch.fallback"] == 1
+        assert counters["dispatch.stochastic"] == 1
+        assert counters["dispatch.exact"] == 0
+
+    def test_parallel_stats_counts_one_dispatch(self, tmp_path):
+        target = tmp_path / "stats.json"
+        assert main(
+            ["stats", "ghz:4", "-M", "12", "-w", "2", "--json", "-o", str(target)]
+        ) == 0
+        counters = json.loads(target.read_text(encoding="utf-8"))["metrics"]["counters"]
+        assert counters["dispatch.stochastic"] == 1
+        assert counters["dispatch.fallback"] == 0
+
+
 class TestTableMetricsSidecar:
     def test_sidecar_schema(self, tmp_path, capsys):
         sidecar = tmp_path / "table.metrics.json"

@@ -16,6 +16,7 @@ from repro.errors import PoisonChunkError, WorkerPoolBrokenError
 from repro.faults import FaultPlan, FaultSpec, PLAN_ENV, reset_injector_cache
 from repro.noise import NoiseModel
 from repro.service import JobSpec, ResultStore, Scheduler
+from repro.service import scheduler as scheduler_module
 from repro.stochastic import BasisProbability, simulate_stochastic
 
 NOISE = NoiseModel.paper_defaults().scaled(10)
@@ -219,15 +220,16 @@ class TestStoreFaultRecovery:
 class TestSelfProtection:
     def test_poison_chunk_is_quarantined_with_diagnosis(self, monkeypatch, tmp_path):
         # A chunk that kills its worker on every attempt must not retry
-        # forever: after poison_retries fatal attempts the job fails fast
+        # forever: after max_retries fatal attempts the job fails fast
         # with a structured diagnosis.
         arm(
             monkeypatch, tmp_path,
             FaultSpec(kind="crash-before", chunk_index=0, times=10),
         )
         spec = ghz_spec()
-        with Scheduler(workers=2, chunk_size=8, max_retries=5,
-                       poison_retries=2) as scheduler:
+        # The poison budget is max_retries; the quarantine check runs
+        # before the retry-budget check, so the third death quarantines.
+        with Scheduler(workers=2, chunk_size=8, max_retries=2) as scheduler:
             key = scheduler.submit(spec)
             with pytest.raises(PoisonChunkError, match="quarantined") as excinfo:
                 scheduler.result(key, timeout=60)
@@ -249,9 +251,9 @@ class TestSelfProtection:
             FaultSpec(kind="crash-before", times=50),
         )
         spec = ghz_spec()
-        with Scheduler(workers=2, chunk_size=8, max_retries=20,
-                       poison_retries=20, breaker_threshold=3,
-                       breaker_window=30.0) as scheduler:
+        monkeypatch.setattr(scheduler_module, "_BREAKER_THRESHOLD", 3)
+        monkeypatch.setattr(scheduler_module, "_BREAKER_WINDOW", 30.0)
+        with Scheduler(workers=2, chunk_size=8, max_retries=20) as scheduler:
             key = scheduler.submit(spec)
             with pytest.raises(WorkerPoolBrokenError, match="circuit breaker"):
                 scheduler.result(key, timeout=60)

@@ -115,11 +115,12 @@ def measured_multiplies() -> int:
 
 
 class TestFallbackFeedback:
-    def test_node_ceiling_fallback_is_recorded_censored(self, store, ledger):
+    def test_node_ceiling_fallback_is_recorded_censored(
+        self, store, ledger, monkeypatch
+    ):
         fingerprint = circuit_fingerprint(ghz(QUBITS), PAPER_NOISE)
-        with Scheduler(
-            workers=1, store=store, ledger=ledger, exact_node_ceiling=16
-        ) as scheduler:
+        monkeypatch.setenv("REPRO_EXACT_NODE_CEILING", "16")
+        with Scheduler(workers=1, store=store, ledger=ledger) as scheduler:
             result = scheduler.run(
                 spec_for(method="exact", seed=5, trajectories=40), timeout=120
             )

@@ -18,7 +18,12 @@ from hypothesis import strategies as st
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.noise import ErrorRates, NoiseModel
-from repro.stochastic import BasisProbability, ExpectationZ, IdealFidelity
+from repro.stochastic import (
+    BasisProbability,
+    ExpectationZ,
+    IdealFidelity,
+    StochasticSimulator,
+)
 from repro.stochastic.properties import PauliExpectation, StateFidelity
 from repro.stochastic.runner import run_trajectory_span
 from repro.stochastic.strata import STRATIFIED_ENV
@@ -41,10 +46,7 @@ def circuits(draw):
         elif kind in ("cx", "cz") and num_qubits >= 2 and wires[0] != wires[1]:
             getattr(circuit, kind)(wires[0], wires[1])
         elif kind == "rotation":
-            # Angles below ~1e-3 leave amplitudes near the DD complex
-            # table's tolerance, where the DD package itself can fail
-            # (a division by a snapped-zero weight in DDPackage._add).
-            angle = draw(st.floats(-3.2, 3.2).filter(lambda a: abs(a) > 1e-3))
+            angle = draw(st.floats(-3.2, 3.2))
             getattr(circuit, draw(st.sampled_from(_ROTATIONS)))(angle, wires[0])
         else:
             getattr(circuit, draw(st.sampled_from(_ONE_QUBIT)))(wires[0])
@@ -126,3 +128,28 @@ def test_dd_and_dense_spans_agree(circuit, noise, mode, shots, seed, pauli):
         assert estimate.count == other.count, name
         assert abs(estimate.total - other.total) <= 1e-9, name
         assert abs(estimate.total_squared - other.total_squared) <= 1e-9, name
+
+
+def test_near_zero_rotations_run_on_both_arms():
+    # rx(1e-9) leaves amplitudes below the DD complex table's tolerance;
+    # DDPackage._add used to divide by such a snapped-zero weight.
+    circuit = QuantumCircuit(3, name="near_zero_rx")
+    circuit.h(0).cx(0, 1).cx(2, 0).rx(1e-9, 0).cx(2, 1)
+    circuit.rx(1e-9, 2).rx(1e-9, 1).h(0)
+    rates = 0.01
+    noise = NoiseModel(
+        ErrorRates(
+            depolarizing=rates, amplitude_damping=rates,
+            phase_flip=rates, crosstalk=rates,
+        )
+    )
+    dd, dense = (
+        StochasticSimulator(backend=kind, workers=1).run(
+            circuit, noise, [IdealFidelity()], trajectories=50, seed=2
+        )
+        for kind in ("dd", "statevector")
+    )
+    assert dd.completed_trajectories == dense.completed_trajectories == 50
+    assert dd.errors_fired == dense.errors_fired
+    for name, estimate in dd.estimates.items():
+        assert abs(estimate.total - dense.estimates[name].total) <= 1e-9, name

@@ -12,11 +12,7 @@ from repro.errors import NumericalDriftError
 from repro.faults import FaultPlan, FaultSpec, PLAN_ENV, reset_injector_cache
 from repro.noise import NoiseModel
 from repro.stochastic import BasisProbability
-from repro.stochastic.runner import (
-    NORM_GUARD_ENV,
-    _resolve_norm_guard,
-    run_trajectory_span,
-)
+from repro.stochastic.runner import _resolve_norm_guard, run_trajectory_span
 
 NOISE = NoiseModel.paper_defaults().scaled(10)
 
@@ -24,7 +20,6 @@ NOISE = NoiseModel.paper_defaults().scaled(10)
 @pytest.fixture(autouse=True)
 def _clean_env(monkeypatch):
     monkeypatch.delenv(PLAN_ENV, raising=False)
-    monkeypatch.delenv(NORM_GUARD_ENV, raising=False)
     reset_injector_cache()
     yield
     reset_injector_cache()
@@ -56,26 +51,6 @@ def arm_drift(monkeypatch, trajectory=2, factor=1.5, times=1):
 
 class TestResolveNormGuard:
     def test_defaults(self):
-        assert _resolve_norm_guard(None, None) == ("raise", 1e-8)
-
-    def test_env_action(self, monkeypatch):
-        monkeypatch.setenv(NORM_GUARD_ENV, "renorm")
-        assert _resolve_norm_guard(None, None) == ("renorm", 1e-8)
-
-    def test_env_action_with_tolerance(self, monkeypatch):
-        monkeypatch.setenv(NORM_GUARD_ENV, "renorm:1e-9")
-        assert _resolve_norm_guard(None, None) == ("renorm", 1e-9)
-
-    def test_env_off(self, monkeypatch):
-        monkeypatch.setenv(NORM_GUARD_ENV, "off")
-        assert _resolve_norm_guard(None, None)[0] == "off"
-
-    def test_explicit_args_beat_env(self, monkeypatch):
-        monkeypatch.setenv(NORM_GUARD_ENV, "renorm:1e-9")
-        assert _resolve_norm_guard("raise", 1e-6) == ("raise", 1e-6)
-
-    def test_garbage_env_falls_back_to_defaults(self, monkeypatch):
-        monkeypatch.setenv(NORM_GUARD_ENV, "explode:soon")
         assert _resolve_norm_guard(None, None) == ("raise", 1e-8)
 
     def test_unknown_explicit_action_raises(self):
@@ -115,12 +90,6 @@ class TestDriftGuard:
         arm_drift(monkeypatch, trajectory=2, factor=1.5)
         result = run_span(on_drift="off")
         assert result.completed_trajectories == 6
-
-    def test_env_renorm_applies_without_explicit_args(self, monkeypatch):
-        arm_drift(monkeypatch, trajectory=1, factor=2.0)
-        monkeypatch.setenv(NORM_GUARD_ENV, "renorm")
-        result = run_span()
-        assert result.metrics["counters"]["faults.recovered.renorm"] == 1
 
     def test_tolerance_wide_enough_accepts_small_drift(self, monkeypatch):
         arm_drift(monkeypatch, trajectory=1, factor=1.0 + 1e-10)
